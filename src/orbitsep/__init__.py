@@ -17,7 +17,6 @@ from .actions import (
     Shift,
     Translation,
     VertexPermutation,
-    apply_word,
     find_escape,
     generator_from_json,
     max_step_displacement,
@@ -62,13 +61,15 @@ from .separation import (
     trace_to_json,
 )
 from .spaces import (
-    build_discrete_adapter,
-    build_discrete_shift,
-    build_finite_graph,
-    build_free,
-    build_scaled,
-    build_zd,
+    DiscreteAdapterSpace,
+    DiscreteShiftSpace,
+    FiniteGraphSpace,
+    FreeSpace,
+    ScaledSpace,
+    ZdSpace,
     distance,
+    distance_to_set,
+    first_within,
     greedy_epsilon_net,
     in_open_ball,
     set_distance,

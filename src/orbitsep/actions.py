@@ -24,10 +24,20 @@ from .spaces import (
     FreeSpace,
     ZdSpace,
     base_space,
+    first_within,
     word_from_string,
     word_to_string,
 )
 from .words import IDENTITY, compose, invert, reduce_word
+
+
+def _require_fit(gen, space, space_type, fits=lambda b: True):
+    """Raise unless the base of ``space`` is a ``space_type`` that ``fits``."""
+    base = base_space(space)
+    if not isinstance(base, space_type):
+        raise InvalidInputError(f"{gen.describe()} cannot act on a {base.kind} space")
+    if not fits(base):
+        raise InvalidInputError(f"{gen.describe()} does not fit {base.describe()}")
 
 
 class Translation:
@@ -43,6 +53,9 @@ class Translation:
         if not v:
             raise InvalidInputError("translation vector must be nonempty")
         self.v = v
+
+    def check(self, space):
+        _require_fit(self, space, ZdSpace, lambda b: len(self.v) == b.dim)
 
     def forward(self, p):
         return tuple(a + b for a, b in zip(p, self.v))
@@ -66,6 +79,10 @@ class LeftMultiplication:
         self.word = reduce_word(word)
         self._inverse = invert(self.word)
 
+    def check(self, space):
+        letters = max((abs(s) for s in self.word), default=0)
+        _require_fit(self, space, FreeSpace, lambda b: letters <= b.rank)
+
     def forward(self, p):
         return compose(self.word, p)
 
@@ -83,6 +100,9 @@ class Shift:
     """The successor map on the integers."""
 
     kind = "shift"
+
+    def check(self, space):
+        _require_fit(self, space, DiscreteShiftSpace)
 
     def forward(self, p):
         return p + 1
@@ -112,6 +132,9 @@ class VertexPermutation:
             inv[j] = i
         self._inv = tuple(inv)
 
+    def check(self, space):
+        _require_fit(self, space, FiniteGraphSpace, lambda b: len(self.perm) == b.n)
+
     def forward(self, p):
         return self.perm[p]
 
@@ -130,61 +153,41 @@ def generator_from_json(obj):
         raise InvalidInputError(f"generator description must have a 'kind', got {obj!r}")
     kind = obj["kind"]
     if kind == "translation":
-        return Translation(obj.get("v", ()))
+        return Translation(_json_array(obj, "v"))
     if kind == "leftmul":
         w = obj.get("w", "")
-        return LeftMultiplication(word_from_string(w) if isinstance(w, str) else w)
+        return LeftMultiplication(
+            word_from_string(w) if isinstance(w, str) else _json_array(obj, "w")
+        )
     if kind == "shift":
         return Shift()
     if kind == "perm":
-        return VertexPermutation(obj.get("p", ()))
+        return VertexPermutation(_json_array(obj, "p"))
     raise InvalidInputError(f"unknown generator kind {kind!r}")
 
 
-_COMPATIBLE = {
-    ZdSpace: Translation,
-    FreeSpace: LeftMultiplication,
-    DiscreteShiftSpace: Shift,
-    FiniteGraphSpace: VertexPermutation,
-}
+def _json_array(obj, key):
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise InvalidInputError(f"generator field {key!r} must be an array: {value!r}")
+    return value
 
 
 class GeneratedAction:
     """A metric space together with a finite generator list.
 
     Only forward/backward maps are stored; the group itself is the set of
-    words over the generators.  Generator-space compatibility is validated
-    structurally here; whether each generator actually preserves distances is
-    checked by :func:`verify_isometry`.
+    words over the generators.  Each generator's ``check(space)`` raises
+    InvalidInputError unless it can act on the space; whether it actually
+    preserves distances is checked by :func:`verify_isometry`.
     """
 
     def __init__(self, space, generators):
         generators = list(generators)
         if not generators:
             raise InvalidInputError("generator list must be nonempty")
-        base = base_space(space)
-        expected = _COMPATIBLE.get(type(base))
-        if expected is None:
-            raise InvalidInputError(f"no generators defined for {base.kind} spaces")
         for gen in generators:
-            if not isinstance(gen, expected):
-                raise InvalidInputError(
-                    f"{gen.describe()} cannot act on a {base.kind} space"
-                )
-            if isinstance(gen, Translation) and len(gen.v) != base.dim:
-                raise InvalidInputError(
-                    f"translation dimension {len(gen.v)} != space dimension {base.dim}"
-                )
-            if isinstance(gen, LeftMultiplication):
-                for s in gen.word:
-                    if abs(s) > base.rank:
-                        raise InvalidInputError(
-                            f"leftmul word uses letter {s} beyond rank {base.rank}"
-                        )
-            if isinstance(gen, VertexPermutation) and len(gen.perm) != base.n:
-                raise InvalidInputError(
-                    f"permutation on {len(gen.perm)} points != {base.n} vertices"
-                )
+            gen.check(space)
         self.space = space
         self.generators = generators
         self._signed = []
@@ -214,10 +217,6 @@ class GeneratedAction:
         return [g.to_json() for g in self.generators]
 
 
-def apply_word(action, w, p):
-    return action.apply_word(w, p)
-
-
 @dataclass(frozen=True)
 class OrbitBudget:
     """Caps on orbit exploration: distinct points and word length."""
@@ -226,10 +225,10 @@ class OrbitBudget:
     max_word_length: int = 24
 
     def __post_init__(self):
-        if not isinstance(self.max_points, int) or self.max_points < 1:
-            raise InvalidInputError("max_points must be a positive int")
-        if not isinstance(self.max_word_length, int) or self.max_word_length < 1:
-            raise InvalidInputError("max_word_length must be a positive int")
+        for name in ("max_points", "max_word_length"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise InvalidInputError(f"{name} must be a positive int")
 
     def to_json(self):
         return {"max_points": self.max_points, "max_word_length": self.max_word_length}
@@ -293,25 +292,19 @@ def find_escape(action, p, q_points, eps, budget=DEFAULT_BUDGET, stats=None):
     if eps == INF or eps <= 0:
         raise InvalidInputError("eps must be a positive finite rational")
     space = action.space
-    ef = Fraction(eps)
-    en, ed = ef.numerator, ef.denominator
     explored = 0
     # Consecutive BFS points are near each other, so the Q-point that ruled
     # out the previous candidate usually rules out the next one too; testing
     # it first cannot change the outcome of the all-clear conjunction.
-    last_violator = None
+    last_violator = ()
     for x, w in orbit_stream(action, p, budget, stats):
         explored += 1
-        if last_violator is not None and space.distance(x, last_violator) * ed < en:
+        if first_within(space, x, last_violator, eps) is not None:
             continue
-        ok = True
-        for y in q_points:
-            if space.distance(x, y) * ed < en:
-                ok = False
-                last_violator = y
-                break
-        if ok:
+        violator = first_within(space, x, q_points, eps)
+        if violator is None:
             return w
+        last_violator = (violator,)
     raise BudgetExhaustedError(
         f"no escape at radius {eps} after exploring {explored} orbit points",
         explored=explored,
@@ -326,16 +319,17 @@ def separated_family(action, p, eps, n, budget=DEFAULT_BUDGET, stats=None):
     """
     if eps == INF or eps <= 0:
         raise InvalidInputError("eps must be a positive finite rational")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInputError("n must be a positive int")
     space = action.space
     two_eps = 2 * Fraction(eps)
-    kept = []
+    kept, kept_points = [], []
     explored = 0
     for x, w in orbit_stream(action, p, budget, stats):
         explored += 1
-        if all(space.distance(x, k) >= two_eps for k, _ in kept):
+        if first_within(space, x, kept_points, two_eps) is None:
             kept.append((x, w))
+            kept_points.append(x)
             if len(kept) == n:
                 return kept
     raise BudgetExhaustedError(

@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto library operations; instances are JSON files
 (see README for the schemas), payload goes to stdout, diagnostics to stderr.
 
-Exit codes: 0 success, 2 budget exhausted, 3 invalid input or schema,
-4 metric/isometry violation detected, 5 differential or certificate mismatch.
+Exit codes: 0 success, 2 budget exhausted, 3 invalid input, schema or
+usage, 4 metric/isometry violation detected, 5 differential or certificate
+mismatch.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from .oracle import (
     ratio_experiment,
     sample_point,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, is_inf, parse_rational
 from .separation import (
     certificate_from_json,
     certificate_to_json,
@@ -54,7 +55,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"bad JSON in {path}: {exc}") from exc
@@ -66,34 +67,43 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _list(entries, what):
+    if not isinstance(entries, list):
+        raise InvalidInputError(f"{what} must be a JSON array, got {entries!r}")
+    return entries
+
+
 def _build_action(obj, path):
     space = space_from_json(_require(obj, "space", path))
-    gens = [generator_from_json(g) for g in _require(obj, "generators", path)]
-    return GeneratedAction(space, gens)
+    gens = _list(_require(obj, "generators", path), "generators")
+    return GeneratedAction(space, [generator_from_json(g) for g in gens])
 
 
 def _parse_points(space, entries):
-    return [space.point_from_json(e) for e in entries]
+    return [space.point_from_json(e) for e in _list(entries, "point list")]
 
 
 def _parse_weighted(space, entries, key):
     out = []
-    for e in entries:
+    for e in _list(entries, "weighted point list"):
         if not isinstance(e, dict) or "point" not in e or key not in e:
             raise InvalidInputError(f"weighted entry must have 'point' and {key!r}")
-        out.append((space.point_from_json(e["point"]), parse_rational(e[key])))
+        weight = parse_rational(e[key])
+        if is_inf(weight) or weight <= 0:
+            raise InvalidInputError(f"{key} must be a positive finite rational")
+        out.append((space.point_from_json(e["point"]), weight))
     return out
 
 
 def _budget(obj, args):
-    spec = obj.get("budget", {}) if isinstance(obj, dict) else {}
-    points = spec.get("max_points", 100000)
-    length = spec.get("max_word_length", 24)
-    if getattr(args, "budget_points", None) is not None:
-        points = args.budget_points
-    if getattr(args, "budget_len", None) is not None:
-        length = args.budget_len
-    return OrbitBudget(points, length)
+    """OrbitBudget from the instance's "budget", overridden by --budget-* flags."""
+    spec = obj.get("budget", {})
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"budget must be a JSON object, got {spec!r}")
+    flags = {"max_points": args.budget_points, "max_word_length": args.budget_len}
+    fields = {k: spec[k] for k in flags if k in spec}
+    fields.update((k, v) for k, v in flags.items() if v is not None)
+    return OrbitBudget(**fields)
 
 
 def _emit(payload, args, table_lines=None):
@@ -285,9 +295,7 @@ def _cmd_verify(args):
     metric_violations = validate_metric(space, triples)
     isometry_violations = []
     if obj.get("generators"):
-        action = GeneratedAction(
-            space, [generator_from_json(g) for g in obj["generators"]]
-        )
+        action = _build_action(obj, args.infile)
         pairs = [
             (sample_point(space, rng), sample_point(space, rng))
             for _ in range(args.samples)
@@ -344,7 +352,7 @@ def _cmd_experiment(args):
             raise InvalidInputError(f"unknown kind {kind!r}; have {INSTANCE_KINDS}")
     budget = None
     if args.budget_points is not None or args.budget_len is not None:
-        budget = OrbitBudget(args.budget_points or 100000, args.budget_len or 24)
+        budget = _budget({}, args)
     result = ratio_experiment(
         kinds, args.n, args.seed, budget=budget, oracle_bound=args.bound
     )
@@ -363,8 +371,14 @@ def _cmd_instance(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, which here means "unknown"
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitsep",
         description="Constructive separation of finite sets under isometric "
         "group actions, with exact rational certificates.",

@@ -176,12 +176,12 @@ class SizeCaps:
             "d_max": (self.d_max, 6),
         }
         for name, (value, cap) in limits.items():
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidInputError(f"{name} must be a positive int")
             if value > cap:
                 raise InvalidInputError(f"{name}={value} exceeds the cap {cap}")
         for d in self.delta_choices:
-            if not isinstance(d, int) or not 1 <= d <= 16:
+            if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= 16:
                 raise InvalidInputError("delta choices must be ints in 1..16")
 
 

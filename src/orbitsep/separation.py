@@ -35,7 +35,13 @@ from .actions import (
 )
 from .errors import BudgetExhaustedError, InvalidInputError, TraceReplayError
 from .rationals import INF, format_rational, is_inf, parse_rational, ratio_of
-from .spaces import greedy_epsilon_net, is_discrete, require_distinct
+from .spaces import (
+    distance_to_set,
+    first_within,
+    greedy_epsilon_net,
+    is_discrete,
+    require_distinct,
+)
 from .words import IDENTITY, compose, invert
 
 
@@ -136,7 +142,6 @@ def _separate(action, weighted, q_points, budget, stats):
     pivot, eps = weighted[best]
     rest = weighted[:best] + weighted[best + 1 :]
     eps3 = Fraction(eps) / 3
-    e3n, e3d = eps3.numerator, eps3.denominator
     space = action.space
 
     try:
@@ -167,12 +172,7 @@ def _separate(action, weighted, q_points, budget, stats):
             )
             raise
         ha = compose(h, a)
-        image = action.apply_word(ha, pivot)
-        violating = None
-        for y in q_points:
-            if space.distance(image, y) * e3d < e3n:
-                violating = y
-                break
+        violating = first_within(space, action.apply_word(ha, pivot), q_points, eps3)
         if violating is None:
             trace = LevelTrace(
                 pivot, eps, a, list(q0.items()), restarts, "direct", None, child
@@ -199,12 +199,7 @@ def evaluate_word(action, weighted, q_points, word):
     achieved = []
     ratio = INF
     for p, eps in weighted:
-        img = action.apply_word(word, p)
-        d = INF
-        for y in q_points:
-            dy = space.distance(img, y)
-            if dy < d:
-                d = dy
+        d = distance_to_set(space, action.apply_word(word, p), q_points)
         achieved.append((p, d))
         r = ratio_of(d, eps)
         if r < ratio:
@@ -297,9 +292,8 @@ def separate_compact(action, c_weighted, d_points, budget=None, stats=None):
 
     for c in c_points:
         img = action.apply_word(cert.word, c)
-        for y in d_points:
-            if space.distance(img, y) < epsilon:
-                raise AssertionError("compact separation postcondition failed")
+        if first_within(space, img, d_points, epsilon) is not None:
+            raise AssertionError("compact separation postcondition failed")
     return CompactSeparationResult(epsilon, cover, net_p, net_q, cert)
 
 
@@ -313,7 +307,7 @@ def separated_sequence(action, tuple_points, eps, n, budget=None, stats=None):
     """
     if eps == INF or eps <= 0:
         raise InvalidInputError("eps must be a positive finite rational")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInputError("n must be a positive int")
     tuple_points = list(tuple_points)
     _check_points(action, tuple_points, "tuple")
@@ -353,9 +347,8 @@ def full_existence_step(action, anchors, obstacles, budget=None, stats=None):
     sigma_inv = invert(sigma)
     realization = [action.apply_word(sigma_inv, q) for q in anchors]
     for b, eps in obstacles:
-        for r in realization:
-            if 3 * action.space.distance(b, r) < eps:
-                raise AssertionError("full-existence transfer failed")
+        if first_within(action.space, b, realization, Fraction(eps) / 3) is not None:
+            raise AssertionError("full-existence transfer failed")
     return sigma, realization
 
 
@@ -390,10 +383,8 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
     eps3 = Fraction(eps) / 3
 
     a = trace.escape
-    escaped = action.apply_word(a, pivot)
-    for y in q_points:
-        if space.distance(escaped, y) < eps:
-            raise TraceReplayError("recorded escape word does not escape Q")
+    if first_within(space, action.apply_word(a, pivot), q_points, eps) is not None:
+        raise TraceReplayError("recorded escape word does not escape Q")
 
     q_set = set(q_points)
     q0 = {}
@@ -411,9 +402,8 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
     image = action.apply_word(ha, pivot)
 
     if trace.case == "direct":
-        for y in q_points:
-            if space.distance(image, y) < eps3:
-                raise TraceReplayError("direct case recorded but pivot lands near Q")
+        if first_within(space, image, q_points, eps3) is not None:
+            raise TraceReplayError("direct case recorded but pivot lands near Q")
         return ha
     if trace.case == "fallback":
         y = trace.fallback_y

@@ -13,9 +13,9 @@ Built-in spaces:
 * ``discrete`` — any inner space re-equipped with the 0/1 discrete metric.
 
 Distances are ints or Fractions, never floats; the only non-finite value is
-the ``INF`` sentinel returned by ``set_distance`` on an empty side.  Space
-values are immutable after construction and every operation here is a pure
-function, so they are safe to share between threads.
+the ``INF`` sentinel returned by ``distance_to_set`` and ``set_distance`` on
+an empty side.  Space values are immutable after construction and every
+operation here is a pure function, so they are safe to share between threads.
 """
 
 from fractions import Fraction
@@ -218,8 +218,10 @@ class FiniteGraphSpace(MetricSpace):
         table = [[None] * n for _ in range(n)]
         for i in range(n):
             table[i][i] = Fraction(0)
+        if not isinstance(edges, (list, tuple)):
+            raise InvalidInputError(f"edges must be a list, got {edges!r}")
         for edge in edges:
-            if len(edge) != 3:
+            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
                 raise InvalidInputError(f"edge must be [i, j, weight], got {edge!r}")
             i, j, w = edge
             _check_int(i, "edge endpoint")
@@ -352,30 +354,6 @@ class DiscreteAdapterSpace(MetricSpace):
         return f"discrete({self.inner.describe()})"
 
 
-def build_zd(dim, norm="linf"):
-    return ZdSpace(dim, norm)
-
-
-def build_free(rank):
-    return FreeSpace(rank)
-
-
-def build_discrete_shift():
-    return DiscreteShiftSpace()
-
-
-def build_finite_graph(n, edges):
-    return FiniteGraphSpace(n, edges)
-
-
-def build_scaled(inner, factor):
-    return ScaledSpace(inner, factor)
-
-
-def build_discrete_adapter(inner):
-    return DiscreteAdapterSpace(inner)
-
-
 def base_space(space):
     """Unwrap scaled/discrete adapters down to the underlying space."""
     while isinstance(space, (ScaledSpace, DiscreteAdapterSpace)):
@@ -415,17 +393,29 @@ def distance(space, p, q):
     return space.distance(p, q)
 
 
+def first_within(space, x, points, r):
+    """The first y of ``points``, in input order, with d(x, y) < r; else None.
+
+    The strict comparison is exact: ``d * den < num`` with ``r = num/den``,
+    taken apart once per call.  An INF radius contains every point.
+    """
+    if isinstance(r, float):  # INF is the only non-rational radius
+        return next(iter(points), None)
+    rn, rd = r.numerator, r.denominator
+    for y in points:
+        if space.distance(x, y) * rd < rn:
+            return y
+    return None
+
+
+def distance_to_set(space, x, points):
+    """min d(x, y) over y in ``points``; INF when ``points`` is empty."""
+    return min((space.distance(x, y) for y in points), default=INF)
+
+
 def set_distance(space, ps, qs):
     """min d(x, y) over x in ps, y in qs; INF when either side is empty."""
-    best = INF
-    for x in ps:
-        for y in qs:
-            d = space.distance(x, y)
-            if d < best:
-                best = d
-                if best == 0:
-                    return best
-    return best
+    return min((distance_to_set(space, x, qs) for x in ps), default=INF)
 
 
 def in_open_ball(space, center, radius, x):
@@ -446,7 +436,7 @@ def greedy_epsilon_net(space, points, eps):
         raise InvalidInputError("eps must be > 0")
     net = []
     for p in points:
-        if not any(space.distance(p, n) < eps for n in net):
+        if first_within(space, p, net, eps) is None:
             net.append(p)
     return net
 

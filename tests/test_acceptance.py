@@ -121,13 +121,13 @@ def test_criterion_04_compact_chain():
 def test_criterion_05_separated_sequences():
     cases = [
         (
-            O.build_zd(1, "l1"),
+            O.ZdSpace(1, "l1"),
             [O.Translation((1,))],
             [(0,), (1,), (5,)],
             O.OrbitBudget(100000, 64),
         ),
         (
-            O.build_free(2),
+            O.FreeSpace(2),
             [O.LeftMultiplication((1,)), O.LeftMultiplication((2,))],
             [(), (1,), (2, 1)],
             O.OrbitBudget(4000, 16),
@@ -165,7 +165,7 @@ def test_criterion_06_restart_soundness(zd2_pool):
     for inst, cert in zip(zd2_pool["instances"], zd2_pool["certs"]):
         audit_cert(inst.action(), inst.weighted_p, inst.q_points, cert)
 
-    z1 = O.GeneratedAction(O.build_zd(1, "l1"), [O.Translation((1,))])
+    z1 = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))])
     budget = O.OrbitBudget(10000, 6)
 
     fb_p = [((0,), 3), ((50,), 3)]
@@ -203,7 +203,7 @@ def test_criterion_07_negative_control(capsys):
 
 def test_criterion_08_equivariance(zd2_pool):
     for inst, cert in zip(zd2_pool["instances"][:50], zd2_pool["certs"][:50]):
-        scaled = O.build_scaled(inst.space, 2)
+        scaled = O.ScaledSpace(inst.space, 2)
         action = O.GeneratedAction(scaled, inst.generators)
         doubled = [(p, 2 * Fraction(e)) for p, e in inst.weighted_p]
         achieved, ratio = O.evaluate_word(action, doubled, inst.q_points, cert.word)

@@ -45,7 +45,7 @@ words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
 @given(words_strategy, words_strategy, st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
 def test_word_algebra_on_translations(u, v, p):
     act = O.GeneratedAction(
-        O.build_zd(2, "linf"), [O.Translation((1, 0)), O.Translation((0, 1))]
+        O.ZdSpace(2, "linf"), [O.Translation((1, 0)), O.Translation((0, 1))]
     )
     assert act.apply_word(O.compose(u, v), p) == act.apply_word(u, act.apply_word(v, p))
     assert act.apply_word(O.compose(u, O.invert(u)), p) == p
@@ -97,7 +97,7 @@ def test_find_escape_empty_q(zd2_action):
 
 
 def test_find_escape_budget_exhausted_on_c4(c4_action):
-    adapter = O.build_discrete_adapter(c4_action.space)
+    adapter = O.DiscreteAdapterSpace(c4_action.space)
     act = O.GeneratedAction(adapter, c4_action.generators)
     with pytest.raises(BudgetExhaustedError) as info:
         O.find_escape(act, 0, [0, 1, 2, 3], 1)
@@ -136,7 +136,7 @@ def test_verify_isometry_translations_clean(zd2_action):
 
 
 def test_verify_isometry_flags_non_automorphism():
-    space = O.build_finite_graph(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]])
+    space = O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]])
     bad = O.GeneratedAction(space, [O.VertexPermutation((1, 0, 2, 3))])
     violations = O.verify_isometry(bad)  # exhaustive, no sample needed
     assert any(v.kind == "distance" for v in violations)
@@ -159,32 +159,32 @@ def test_verify_isometry_flags_bad_inverse(z1_action):
         def describe(self):
             return "broken"
 
-    act = O.GeneratedAction(O.build_zd(1, "l1"), [O.Translation((1,))])
+    act = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))])
     act.generators[0] = Broken()
     violations = O.verify_isometry(act, [((0,), (4,))])
     assert any(v.kind == "inverse" for v in violations)
 
 
 def test_action_validation():
-    z2 = O.build_zd(2, "linf")
+    z2 = O.ZdSpace(2, "linf")
     with pytest.raises(InvalidInputError):
         O.GeneratedAction(z2, [])
     with pytest.raises(InvalidInputError):
         O.GeneratedAction(z2, [O.Shift()])
     with pytest.raises(InvalidInputError):
         O.GeneratedAction(z2, [O.Translation((1,))])  # dimension mismatch
-    f2 = O.build_free(2)
+    f2 = O.FreeSpace(2)
     with pytest.raises(InvalidInputError):
         O.GeneratedAction(f2, [O.LeftMultiplication((3,))])  # beyond rank
-    g = O.build_finite_graph(2, [[0, 1, 1]])
+    g = O.FiniteGraphSpace(2, [[0, 1, 1]])
     with pytest.raises(InvalidInputError):
         O.GeneratedAction(g, [O.VertexPermutation((1, 2, 0))])  # wrong size
 
 
 def test_action_on_wrapped_spaces(z1_action, c4_action):
-    scaled = O.build_scaled(O.build_zd(1, "l1"), 2)
+    scaled = O.ScaledSpace(O.ZdSpace(1, "l1"), 2)
     O.GeneratedAction(scaled, [O.Translation((1,))])
-    adapter = O.build_discrete_adapter(c4_action.space)
+    adapter = O.DiscreteAdapterSpace(c4_action.space)
     O.GeneratedAction(adapter, [O.VertexPermutation((1, 2, 3, 0))])
 
 
@@ -193,6 +193,10 @@ def test_orbit_budget_validation():
         O.OrbitBudget(0, 5)
     with pytest.raises(InvalidInputError):
         O.OrbitBudget(5, 0)
+    with pytest.raises(InvalidInputError):
+        O.OrbitBudget(True, 5)
+    with pytest.raises(InvalidInputError):
+        O.OrbitBudget(5, True)
 
 
 def test_generator_json_roundtrip():

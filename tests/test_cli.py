@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -236,6 +237,135 @@ def test_invalid_inputs_exit_3(capsys, tmp_path):
     )
     code, _, err = run(capsys, "separate", "--in", str(zero_eps))
     assert code == 3
+
+
+Z1 = {
+    "space": {"kind": "zd", "dim": 1, "norm": "l1"},
+    "generators": [{"kind": "translation", "v": [1]}],
+}
+VALID_SEPARATE = {**Z1, "P": [{"point": [0], "eps": "2"}], "Q": [[0]]}
+VALID_SEQUENCE = {**Z1, "tuple": [[0]], "eps": "2", "n": 2}
+C2 = {"kind": "finite_graph", "n": 2, "edges": [[0, 1, 1]]}
+Z1_CERT = str(pathlib.Path(__file__).resolve().parent / "golden" / "z1_single.out")
+
+
+def _probe(name, command, doc, *extra, message):
+    """One malformed run: ``doc`` is written to --in (None: --in is a
+    directory); a None in ``extra`` also stands for that directory."""
+    return pytest.param(command, doc, extra, message, id=name)
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, message",
+    [
+        _probe("P-not-a-list", "separate", {**VALID_SEPARATE, "P": 5}, message="array"),
+        _probe("Q-not-a-list", "separate", {**VALID_SEPARATE, "Q": 5}, message="array"),
+        _probe(
+            "generators-not-a-list",
+            "separate",
+            {**VALID_SEPARATE, "generators": 5},
+            message="array",
+        ),
+        _probe(
+            "tuple-not-a-list",
+            "sequence",
+            {**VALID_SEQUENCE, "tuple": 5},
+            message="array",
+        ),
+        _probe(
+            "budget-not-an-object",
+            "separate",
+            {**VALID_SEPARATE, "budget": [1]},
+            message="budget",
+        ),
+        _probe(
+            "budget-bool",
+            "separate",
+            {**VALID_SEPARATE, "budget": {"max_points": True}},
+            message="max_points",
+        ),
+        _probe("in-directory", "separate", None, message="cannot read"),
+        _probe(
+            "check-directory",
+            "separate",
+            VALID_SEPARATE,
+            "--check",
+            None,
+            message="cannot read",
+        ),
+        _probe(
+            "eps-inf-on-check",
+            "separate",
+            {**Z1, "P": [{"point": [0], "eps": "inf"}], "Q": [[0], [10]]},
+            "--check",
+            Z1_CERT,
+            message="eps",
+        ),
+        _probe(
+            "translation-not-a-list",
+            "separate",
+            {**VALID_SEPARATE, "generators": [{"kind": "translation", "v": 5}]},
+            message="'v'",
+        ),
+        _probe(
+            "leftmul-not-a-word",
+            "separate",
+            {**VALID_SEPARATE, "generators": [{"kind": "leftmul", "w": 5}]},
+            message="'w'",
+        ),
+        _probe(
+            "perm-not-a-list",
+            "separate",
+            {"space": C2, "generators": [{"kind": "perm", "p": 5}], "P": [], "Q": []},
+            message="'p'",
+        ),
+        _probe(
+            "edges-not-a-list",
+            "separate",
+            {"space": {**C2, "edges": 5}, "generators": [], "P": [], "Q": []},
+            message="edges",
+        ),
+        _probe(
+            "edge-not-a-list",
+            "separate",
+            {"space": {**C2, "edges": [5]}, "generators": [], "P": [], "Q": []},
+            message="edge",
+        ),
+        _probe("n-bool", "sequence", {**VALID_SEQUENCE, "n": True}, message="n must"),
+    ],
+)
+def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message):
+    """Malformed documents exit 3 with one diagnostic line, never a traceback."""
+    infile = tmp_path
+    if doc is not None:
+        infile = tmp_path / "instance.json"
+        infile.write_text(json.dumps(doc))
+    argv = [command, "--in", str(infile)]
+    argv += [str(tmp_path) if arg is None else arg for arg in extra]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid input:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["separate"], 3),
+        (["separate", "--budget-points=x", "--in", instance_path("z1_single.json")], 3),
+        (["nonsense"], 3),
+        ([], 3),
+        (["separate", "--help"], 0),
+    ],
+    ids=["missing-in", "non-int-flag", "unknown-subcommand", "no-subcommand", "help"],
+)
+def test_usage_errors_exit_3(capsys, argv, code):
+    """argparse's own exit 2 would read as "budget exhausted"."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    captured = capsys.readouterr()
+    assert "usage:" in captured.out + captured.err
 
 
 def test_experiment_csv(capsys):

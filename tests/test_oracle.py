@@ -75,6 +75,10 @@ def test_random_instance_caps():
     with pytest.raises(InvalidInputError):
         O.SizeCaps(coord_max=33)
     with pytest.raises(InvalidInputError):
+        O.SizeCaps(p_max=True)
+    with pytest.raises(InvalidInputError):
+        O.SizeCaps(delta_choices=(True, 3))
+    with pytest.raises(InvalidInputError):
         O.random_instance("heisenberg", 1)
 
 

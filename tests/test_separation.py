@@ -97,7 +97,7 @@ def test_separate_discrete_requires_discrete_metric(z1_action):
 
 
 def test_separate_discrete_c4_adapter_exhausts(c4_action):
-    adapter = O.build_discrete_adapter(c4_action.space)
+    adapter = O.DiscreteAdapterSpace(c4_action.space)
     act = O.GeneratedAction(adapter, c4_action.generators)
     with pytest.raises(BudgetExhaustedError):
         O.separate_discrete(act, [0, 1, 2, 3], [0, 1, 2, 3])
@@ -124,7 +124,7 @@ def test_compact_example(z1_action):
 
 def test_compact_scaled_equivariance(z1_action):
     res = O.separate_compact(z1_action, [((0,), 6), ((1,), 6)], [(0,)])
-    scaled = O.build_scaled(O.build_zd(1, "l1"), 2)
+    scaled = O.ScaledSpace(O.ZdSpace(1, "l1"), 2)
     act2 = O.GeneratedAction(scaled, [O.Translation((1,))])
     res2 = O.separate_compact(act2, [((0,), 12), ((1,), 12)], [(0,)])
     assert res2.epsilon == Fraction(2, 3)
@@ -295,7 +295,7 @@ def test_equivariance_on_scaled_space(z1_action):
     P = [((0,), Fraction(6))]
     Q = [(0,), (10,)]
     cert = O.separate_points(z1_action, P, Q)
-    scaled = O.build_scaled(O.build_zd(1, "l1"), Fraction(3, 2))
+    scaled = O.ScaledSpace(O.ZdSpace(1, "l1"), Fraction(3, 2))
     act2 = O.GeneratedAction(scaled, [O.Translation((1,))])
     doubled = [((0,), Fraction(9))]  # weights scale with the metric
     achieved, ratio = O.evaluate_word(act2, doubled, Q, cert.word)

@@ -10,25 +10,25 @@ from orbitsep.spaces import require_distinct
 
 
 def test_zd_linf_distance():
-    z = O.build_zd(2, "linf")
+    z = O.ZdSpace(2, "linf")
     assert O.distance(z, (0, 0), (1, 3)) == 3
     assert O.distance(z, (1, 3), (1, 3)) == 0
 
 
 def test_zd_l1_distance():
-    z = O.build_zd(2, "l1")
+    z = O.ZdSpace(2, "l1")
     assert O.distance(z, (0, 0), (1, 3)) == 4
     assert O.distance(z, (-2, 5), (1, 5)) == 3
 
 
 def test_discrete_shift_distance():
-    s = O.build_discrete_shift()
+    s = O.DiscreteShiftSpace()
     assert O.distance(s, 4, 9) == 1
     assert O.distance(s, 4, 4) == 0
 
 
 def test_point_space_mismatch_rejected():
-    z = O.build_zd(2, "linf")
+    z = O.ZdSpace(2, "linf")
     with pytest.raises(InvalidInputError):
         O.distance(z, (0,), (1, 3))
     with pytest.raises(InvalidInputError):
@@ -36,18 +36,36 @@ def test_point_space_mismatch_rejected():
 
 
 def test_set_distance():
-    z = O.build_zd(1, "l1")
+    z = O.ZdSpace(1, "l1")
     assert O.set_distance(z, [(0,), (3,)], [(5,), (7,)]) == 2
     assert O.set_distance(z, [], [(0,)]) == O.INF
     assert O.set_distance(z, [(0,)], []) == O.INF
     assert O.set_distance(z, [(0,)], [(0,)]) == 0
+    # the two one-point primitives behind every ball and set-distance query
+    assert O.distance_to_set(z, (0,), [(5,), (-3,), (4,)]) == 3
+    assert O.distance_to_set(z, (0,), []) == O.INF
+    assert O.first_within(z, (0,), [], 5) is None
+    assert O.first_within(z, (0,), [(2,)], 2) is None  # d == r is outside
+    assert O.first_within(z, (0,), [(2,)], Fraction(5, 2)) == (2,)
+    # first in input order, not nearest
+    assert O.first_within(z, (0,), [(9,), (3,), (1,)], 4) == (3,)
+    assert O.first_within(z, (0,), [(9,), (3,)], O.INF) == (9,)
+    scaled = O.ScaledSpace(z, Fraction(3, 2))  # d((0,), (2,)) == 3
+    assert O.first_within(scaled, (0,), [(2,)], 3) is None
+    assert O.first_within(scaled, (0,), [(2,)], Fraction(7, 2)) == (2,)
+    assert O.first_within(scaled, (0,), [(3,), (2,)], Fraction(10, 3)) == (2,)
+    assert O.distance_to_set(scaled, (0,), [(3,), (2,)]) == 3
+    adapter = O.DiscreteAdapterSpace(z)
+    assert O.first_within(adapter, (0,), [(5,), (0,)], 1) == (0,)
+    assert O.first_within(adapter, (0,), [(5,), (6,)], 1) is None
+    assert O.distance_to_set(adapter, (0,), [(5,), (6,)]) == 1
 
 
 def test_open_ball_is_strict():
-    z = O.build_zd(1, "l1")
+    z = O.ZdSpace(1, "l1")
     assert not O.in_open_ball(z, (0,), 2, (2,))
     assert O.in_open_ball(z, (0,), 2, (1,))
-    s = O.build_discrete_shift()
+    s = O.DiscreteShiftSpace()
     assert not O.in_open_ball(s, 0, 1, 5)
     with pytest.raises(InvalidInputError):
         O.in_open_ball(z, (0,), 0, (1,))
@@ -56,7 +74,7 @@ def test_open_ball_is_strict():
 
 
 def test_greedy_net_example():
-    z = O.build_zd(1, "l1")
+    z = O.ZdSpace(1, "l1")
     points = [(0,), (1,), (2,), (10,)]
     net = O.greedy_epsilon_net(z, points, 2)
     assert net == [(0,), (2,), (10,)]
@@ -66,7 +84,7 @@ def test_greedy_net_example():
 
 
 def test_greedy_net_trivial_cases():
-    z = O.build_zd(1, "l1")
+    z = O.ZdSpace(1, "l1")
     assert O.greedy_epsilon_net(z, [], 2) == []
     assert O.greedy_epsilon_net(z, [(0,), (1,)], 5) == [(0,)]
     with pytest.raises(InvalidInputError):
@@ -74,7 +92,7 @@ def test_greedy_net_trivial_cases():
 
 
 def test_free_word_metric():
-    f = O.build_free(2)
+    f = O.FreeSpace(2)
     ab = O.word_from_string("ab")
     a = O.word_from_string("a")
     assert O.distance(f, ab, a) == 1
@@ -83,7 +101,7 @@ def test_free_word_metric():
 
 
 def test_free_word_string_roundtrip():
-    f = O.build_free(3)
+    f = O.FreeSpace(3)
     for text in ("", "a", "ab'c", "a'a'bb"):
         w = O.word_from_string(text)
         f.check_point(w)
@@ -97,38 +115,38 @@ def test_free_word_string_roundtrip():
 
 
 def test_finite_graph_path():
-    g = O.build_finite_graph(3, [[0, 1, 1], [1, 2, 1]])
+    g = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, 1]])
     assert O.distance(g, 0, 2) == 2
     assert O.distance(g, 2, 0) == 2
 
 
 def test_finite_graph_rational_weights():
-    g = O.build_finite_graph(3, [[0, 1, "1/2"], [1, 2, "1/3"], [0, 2, "7"]])
+    g = O.FiniteGraphSpace(3, [[0, 1, "1/2"], [1, 2, "1/3"], [0, 2, "7"]])
     assert O.distance(g, 0, 2) == Fraction(5, 6)
 
 
 def test_finite_graph_validation():
     with pytest.raises(InvalidInputError):
-        O.build_finite_graph(3, [[0, 1, 1]])  # disconnected
+        O.FiniteGraphSpace(3, [[0, 1, 1]])  # disconnected
     with pytest.raises(InvalidInputError):
-        O.build_finite_graph(2, [[0, 1, 0]])  # nonpositive weight
+        O.FiniteGraphSpace(2, [[0, 1, 0]])  # nonpositive weight
     with pytest.raises(InvalidInputError):
-        O.build_finite_graph(2, [[0, 0, 1]])  # self-loop
+        O.FiniteGraphSpace(2, [[0, 0, 1]])  # self-loop
     with pytest.raises(InvalidInputError):
-        O.build_finite_graph(2, [[0, 5, 1]])  # endpoint out of range
+        O.FiniteGraphSpace(2, [[0, 5, 1]])  # endpoint out of range
 
 
 def test_scaled_space():
-    z = O.build_zd(1, "l1")
-    s = O.build_scaled(z, Fraction(3, 2))
+    z = O.ZdSpace(1, "l1")
+    s = O.ScaledSpace(z, Fraction(3, 2))
     assert O.distance(s, (0,), (2,)) == 3
     with pytest.raises(InvalidInputError):
-        O.build_scaled(z, 0)
+        O.ScaledSpace(z, 0)
 
 
 def test_discrete_adapter():
-    g = O.build_finite_graph(3, [[0, 1, 1], [1, 2, 1]])
-    d = O.build_discrete_adapter(g)
+    g = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, 1]])
+    d = O.DiscreteAdapterSpace(g)
     assert O.distance(d, 0, 2) == 1
     assert O.distance(d, 2, 2) == 0
     with pytest.raises(InvalidInputError):
@@ -155,7 +173,7 @@ def test_space_json_roundtrip():
 
 
 def test_validate_metric_clean_space():
-    z = O.build_zd(2, "linf")
+    z = O.ZdSpace(2, "linf")
     rng = O.SplitMix64(5)
     triples = [
         (O.sample_point(z, rng), O.sample_point(z, rng), O.sample_point(z, rng))
@@ -165,7 +183,7 @@ def test_validate_metric_clean_space():
 
 
 def test_validate_metric_reports_corrupted_table():
-    g = O.build_finite_graph(3, [[0, 1, 1], [1, 2, 1]])
+    g = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, 1]])
     g._table[0][2] = Fraction(5)
     g._table[2][0] = Fraction(5)
     violations = O.validate_metric(g)  # empty sample still checks exhaustively
@@ -176,7 +194,7 @@ def test_validate_metric_reports_corrupted_table():
 
 
 def test_validate_metric_rejects_pseudometric():
-    g = O.build_finite_graph(2, [[0, 1, 1]])
+    g = O.FiniteGraphSpace(2, [[0, 1, 1]])
     g._table[0][1] = Fraction(0)
     g._table[1][0] = Fraction(0)
     violations = O.validate_metric(g)
@@ -184,7 +202,7 @@ def test_validate_metric_rejects_pseudometric():
 
 
 def test_validate_metric_empty_sample_exhaustive_pass():
-    g = O.build_finite_graph(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]])
+    g = O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]])
     assert O.validate_metric(g) == []
 
 
@@ -202,7 +220,7 @@ zd2_points = st.tuples(coords, coords)
 @given(zd2_points, zd2_points, zd2_points)
 def test_zd_metric_axioms(x, y, z):
     for norm in ("l1", "linf"):
-        sp = O.build_zd(2, norm)
+        sp = O.ZdSpace(2, norm)
         assert sp.distance(x, y) == sp.distance(y, x)
         assert sp.distance(x, x) == 0
         if x != y:
@@ -218,7 +236,7 @@ free_words = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(free_words, free_words, free_words)
 def test_free_metric_axioms(x, y, z):
-    sp = O.build_free(2)
+    sp = O.FreeSpace(2)
     assert sp.distance(x, y) == sp.distance(y, x)
     assert sp.distance(x, x) == 0
     if x != y:
@@ -231,7 +249,7 @@ def test_free_metric_axioms(x, y, z):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(coords), max_size=12, unique=True))
 def test_greedy_net_covers(points):
-    z = O.build_zd(1, "l1")
+    z = O.ZdSpace(1, "l1")
     net = O.greedy_epsilon_net(z, points, 3)
     assert all(n in points for n in net)
     for p in points:
@@ -239,8 +257,8 @@ def test_greedy_net_covers(points):
 
 
 def test_scaled_distance_matches_factor_everywhere():
-    z = O.build_zd(2, "linf")
-    s = O.build_scaled(z, Fraction(5, 3))
+    z = O.ZdSpace(2, "linf")
+    s = O.ScaledSpace(z, Fraction(5, 3))
     rng = O.SplitMix64(11)
     for _ in range(50):
         p, q = O.sample_point(z, rng), O.sample_point(z, rng)
