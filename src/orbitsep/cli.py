@@ -57,7 +57,7 @@ def _load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InvalidInputError(f"bad JSON in {path}: {exc}") from exc
 
 
@@ -250,7 +250,8 @@ def _cmd_escape(args):
         "word": list(word),
         "point": action.space.point_to_json(moved),
     }
-    _emit(payload, args, [f"word   {_word_str(word)}", f"point  {moved}"])
+    lines = [f"word   {_word_str(word)}", f"point  {json.dumps(payload['point'])}"]
+    _emit(payload, args, lines)
     return EXIT_OK
 
 

@@ -28,15 +28,13 @@ from .actions import (
 )
 from .errors import BudgetExhaustedError, InvalidInputError
 from .rationals import INF, format_rational, is_inf, ratio_of
-from .separation import certificate_to_json, check_certificate, separate_points
-from .spaces import (
-    DiscreteAdapterSpace,
-    DiscreteShiftSpace,
-    FiniteGraphSpace,
-    FreeSpace,
-    ScaledSpace,
-    ZdSpace,
+from .separation import (
+    certificate_to_json,
+    check_certificate,
+    separate_points,
+    weighted_to_json,
 )
+from .spaces import DiscreteShiftSpace, FiniteGraphSpace, FreeSpace, ZdSpace, base_space
 from .words import IDENTITY
 
 _MASK64 = (1 << 64) - 1
@@ -216,16 +214,10 @@ class InstanceSpec:
             "generators": [g.to_json() for g in self.generators],
         }
         if self.c_weighted is None:
-            out["P"] = [
-                {"point": space.point_to_json(p), "eps": format_rational(e)}
-                for p, e in self.weighted_p
-            ]
+            out["P"] = weighted_to_json(space, self.weighted_p, "eps")
             out["Q"] = [space.point_to_json(p) for p in self.q_points]
         else:
-            out["C"] = [
-                {"point": space.point_to_json(p), "delta": format_rational(d)}
-                for p, d in self.c_weighted
-            ]
+            out["C"] = weighted_to_json(space, self.c_weighted, "delta")
             out["D"] = [space.point_to_json(p) for p in self.d_points]
         out["budget"] = self.budget.to_json()
         return out
@@ -266,32 +258,29 @@ def random_instance(kind, seed, sizes=None, budget=None):
     sizes = sizes or DEFAULT_SIZES
     budget = budget or DEFAULT_BUDGET
     rng = SplitMix64(seed)
-    if kind == "zd2" or kind == "zd1":
-        dim = 2 if kind == "zd2" else 1
-        space = ZdSpace(dim, "linf")
-        gens = [
-            Translation(tuple(1 if j == i else 0 for j in range(dim)))
-            for i in range(dim)
+    if kind in ("zd2", "zd1", "free2", "shift"):
+        if kind == "free2":
+            space = FreeSpace(2)
+            gens = [LeftMultiplication((1,)), LeftMultiplication((2,))]
+            sampler = lambda: _free_word(rng, 2, sizes.word_max)
+        elif kind == "shift":
+            space = DiscreteShiftSpace()
+            gens = [Shift()]
+            sampler = lambda: _coord(rng, sizes.coord_max)
+        else:
+            dim = 2 if kind == "zd2" else 1
+            space = ZdSpace(dim, "linf")
+            gens = [
+                Translation(tuple(1 if j == i else 0 for j in range(dim)))
+                for i in range(dim)
+            ]
+            sampler = lambda: tuple(_coord(rng, sizes.coord_max) for _ in range(dim))
+        p_points = _distinct_points(1 + rng.below(sizes.p_max), sampler)
+        # Shift points all weigh 1: the discrete metric has no larger distance.
+        weighted = [
+            (p, Fraction(1 if kind == "shift" else 1 + rng.below(sizes.eps_max)))
+            for p in p_points
         ]
-        sampler = lambda: tuple(_coord(rng, sizes.coord_max) for _ in range(dim))
-        p_points = _distinct_points(1 + rng.below(sizes.p_max), sampler)
-        weighted = [(p, Fraction(1 + rng.below(sizes.eps_max))) for p in p_points]
-        q_points = _distinct_points(1 + rng.below(sizes.q_max), sampler)
-        return InstanceSpec(kind, seed, space, gens, weighted, q_points, budget=budget)
-    if kind == "free2":
-        space = FreeSpace(2)
-        gens = [LeftMultiplication((1,)), LeftMultiplication((2,))]
-        sampler = lambda: _free_word(rng, 2, sizes.word_max)
-        p_points = _distinct_points(1 + rng.below(sizes.p_max), sampler)
-        weighted = [(p, Fraction(1 + rng.below(sizes.eps_max))) for p in p_points]
-        q_points = _distinct_points(1 + rng.below(sizes.q_max), sampler)
-        return InstanceSpec(kind, seed, space, gens, weighted, q_points, budget=budget)
-    if kind == "shift":
-        space = DiscreteShiftSpace()
-        gens = [Shift()]
-        sampler = lambda: _coord(rng, sizes.coord_max)
-        p_points = _distinct_points(1 + rng.below(sizes.p_max), sampler)
-        weighted = [(p, Fraction(1)) for p in p_points]
         q_points = _distinct_points(1 + rng.below(sizes.q_max), sampler)
         return InstanceSpec(kind, seed, space, gens, weighted, q_points, budget=budget)
     if kind == "compact1d":
@@ -362,38 +351,41 @@ class DifferentialReport:
         return out
 
 
-def differential_check(instance, budget=None, oracle_bound=8, certificate=None):
+def differential_check(instance, oracle_bound=8, certificate=None):
     """Run the solver and the oracle on one instance and cross-check them.
 
     Asserts that (a) the certificate re-verifies by direct recomputation
     (including trace replay), (b) its ratio is at least 1/3, and (c) when the
     word is within the oracle bound, its image tuple is oracle-valid.  A
     stored certificate can be passed in to be checked instead of solving.
+    The oracle runs even when the solver exhausts the instance's budget, so
+    every report carries the oracle's verdict.
     """
     if instance.c_weighted is not None:
         raise InvalidInputError("differential_check expects a P/Q instance")
     action = instance.action()
-    budget = budget or instance.budget
     stats = SearchStats()
     problems = []
     cert = certificate
     if cert is None:
         try:
             cert = separate_points(
-                action, instance.weighted_p, instance.q_points, budget, stats
+                action, instance.weighted_p, instance.q_points, instance.budget, stats
             )
         except BudgetExhaustedError as exc:
-            return DifferentialReport(
-                "budget-exhausted", [str(exc)], instance, explored=stats.points
-            )
+            problems.append(str(exc))
+    verdict = brute_force_separate(
+        action, instance.weighted_p, instance.q_points, oracle_bound
+    )
+    if cert is None:
+        return DifferentialReport(
+            "budget-exhausted", problems, instance, None, verdict, stats.points
+        )
     problems.extend(
         check_certificate(action, instance.weighted_p, instance.q_points, cert)
     )
     if not is_inf(cert.ratio) and 3 * cert.ratio < 1:
         problems.append(f"certificate ratio {format_rational(cert.ratio)} below 1/3")
-    verdict = brute_force_separate(
-        action, instance.weighted_p, instance.q_points, oracle_bound
-    )
     if len(cert.word) <= oracle_bound:
         try:
             oracle_valid = verdict.contains_word(action, instance.weighted_p, cert.word)
@@ -436,11 +428,12 @@ def ratio_experiment(
 ):
     """Measure achieved ratios over seeded instances; emit a CSV table.
 
-    Generates n_instances total, cycling through the given kinds, each from
-    a fresh sub-seed of the master seed so any row is replayable on its own.
-    Budget exhaustion becomes a row status, not a failure.  The aggregate
-    minimum certificate ratio over successful rows is returned alongside the
-    CSV text (it can only be None when no row succeeded).
+    Generates n_instances total, cycling through the given P/Q kinds, each
+    from a fresh sub-seed of the master seed so any row is replayable on its
+    own.  Each row is one ``differential_check``, so its status is "ok",
+    "mismatch" or "budget-exhausted"; none of them is a failure.  The
+    aggregate minimum certificate ratio over rows with a certificate is
+    returned alongside the CSV text (None when no row has one).
     """
     if not isinstance(n_instances, int) or n_instances < 1:
         raise InvalidInputError("n_instances must be a positive int")
@@ -454,37 +447,24 @@ def ratio_experiment(
         kind = kinds[i % len(kinds)]
         inst_seed = master.next_u64()
         instance = random_instance(kind, inst_seed, sizes, budget)
-        action = instance.action()
-        stats = SearchStats()
-        row = {
-            "kind": kind,
-            "seed": str(inst_seed),
-            "p_size": str(len(instance.weighted_p)),
-            "q_size": str(len(instance.q_points)),
-        }
-        try:
-            cert = separate_points(
-                action, instance.weighted_p, instance.q_points, instance.budget, stats
-            )
-        except BudgetExhaustedError:
-            cert = None
-        verdict = brute_force_separate(
-            action, instance.weighted_p, instance.q_points, oracle_bound
+        report = differential_check(instance, oracle_bound)
+        cert = report.certificate
+        rows.append(
+            {
+                "kind": kind,
+                "seed": str(inst_seed),
+                "p_size": str(len(instance.weighted_p)),
+                "q_size": str(len(instance.q_points)),
+                "cert_ratio": "" if cert is None else format_rational(cert.ratio),
+                "oracle_best_ratio": format_rational(report.verdict.best_ratio),
+                "word_len": "" if cert is None else str(len(cert.word)),
+                "explored": str(report.explored),
+                "status": report.status,
+            }
         )
-        row["oracle_best_ratio"] = format_rational(verdict.best_ratio)
-        row["explored"] = str(stats.points)
-        if cert is None:
-            row["cert_ratio"] = ""
-            row["word_len"] = ""
-            row["status"] = "budget-exhausted"
-        else:
-            row["cert_ratio"] = format_rational(cert.ratio)
-            row["word_len"] = str(len(cert.word))
-            row["status"] = "ok"
-            if not is_inf(cert.ratio):
-                if min_ratio is None or cert.ratio < min_ratio:
-                    min_ratio = cert.ratio
-        rows.append(row)
+        if cert is not None and not is_inf(cert.ratio):
+            if min_ratio is None or cert.ratio < min_ratio:
+                min_ratio = cert.ratio
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(row[c] for c in CSV_COLUMNS))
@@ -493,8 +473,7 @@ def ratio_experiment(
 
 def sample_point(space, rng, coord_max=32, word_max=6):
     """Draw a deterministic pseudo-random point of any built-in space."""
-    if isinstance(space, (ScaledSpace, DiscreteAdapterSpace)):
-        return sample_point(space.inner, rng, coord_max, word_max)
+    space = base_space(space)
     if isinstance(space, ZdSpace):
         return tuple(_coord(rng, coord_max) for _ in range(space.dim))
     if isinstance(space, FreeSpace):

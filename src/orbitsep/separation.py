@@ -42,7 +42,7 @@ from .spaces import (
     is_discrete,
     require_distinct,
 )
-from .words import IDENTITY, compose, invert
+from .words import IDENTITY, check_word, compose, invert
 
 
 @dataclass
@@ -483,15 +483,18 @@ def trace_from_json(space, obj):
     if obj is None:
         return None
     try:
+        restarts = obj["restarts"]
+        if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 0:
+            raise InvalidInputError(f"trace restarts must be an int >= 0, got {restarts!r}")
         return LevelTrace(
             pivot=space.point_from_json(obj["pivot"]),
             eps=parse_rational(obj["eps"]),
-            escape=_word_from_json(obj["escape"]),
+            escape=check_word(obj["escape"]),
             q0=[
-                (space.point_from_json(e["y"]), _word_from_json(e["witness"]))
+                (space.point_from_json(e["y"]), check_word(e["witness"]))
                 for e in obj["q0"]
             ],
-            restarts=obj["restarts"],
+            restarts=restarts,
             case=obj["case"],
             fallback_y=None
             if obj.get("fallback_y") is None
@@ -502,35 +505,31 @@ def trace_from_json(space, obj):
         raise InvalidInputError(f"malformed trace object: {exc}") from exc
 
 
-def certificate_to_json(space, cert, include_trace=True):
-    out = {
+def certificate_to_json(space, cert):
+    return {
         "status": "ok",
         "word": list(cert.word),
         "achieved": [
             [space.point_to_json(p), format_rational(d)] for p, d in cert.achieved
         ],
         "ratio": format_rational(cert.ratio),
+        "trace": trace_to_json(space, cert.trace),
     }
-    if include_trace:
-        out["trace"] = trace_to_json(space, cert.trace)
-    return out
 
 
-def _word_from_json(obj):
-    word = tuple(obj)
-    for s in word:
-        if not isinstance(s, int) or isinstance(s, bool) or s == 0:
-            raise InvalidInputError(f"bad word letter {s!r}")
-    return word
+def _pair(entry):
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise InvalidInputError(f"achieved entry must be [point, distance], got {entry!r}")
+    return entry
 
 
 def certificate_from_json(space, obj):
     try:
         return SeparationCertificate(
-            word=_word_from_json(obj["word"]),
+            word=check_word(obj["word"]),
             achieved=[
                 (space.point_from_json(p), parse_rational(d))
-                for p, d in obj["achieved"]
+                for p, d in map(_pair, obj["achieved"])
             ],
             ratio=parse_rational(obj["ratio"]),
             trace=trace_from_json(space, obj.get("trace")),
@@ -539,18 +538,17 @@ def certificate_from_json(space, obj):
         raise InvalidInputError(f"malformed certificate object: {exc}") from exc
 
 
-def compact_result_to_json(space, result, include_trace=True):
+def weighted_to_json(space, weighted, key):
+    """[(point, weight)] as [{"point": ..., key: "weight"}]."""
+    return [{"point": space.point_to_json(p), key: format_rational(w)} for p, w in weighted]
+
+
+def compact_result_to_json(space, result):
     return {
         "status": "ok",
         "epsilon": format_rational(result.epsilon),
-        "net_a": [
-            {"point": space.point_to_json(p), "delta": format_rational(d)}
-            for p, d in result.net_a
-        ],
-        "net_p": [
-            {"point": space.point_to_json(p), "eps": format_rational(e)}
-            for p, e in result.net_p
-        ],
+        "net_a": weighted_to_json(space, result.net_a, "delta"),
+        "net_p": weighted_to_json(space, result.net_p, "eps"),
         "net_q": [space.point_to_json(p) for p in result.net_q],
-        "certificate": certificate_to_json(space, result.certificate, include_trace),
+        "certificate": certificate_to_json(space, result.certificate),
     }

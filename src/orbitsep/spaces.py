@@ -213,13 +213,15 @@ class FiniteGraphSpace(MetricSpace):
         _check_int(n, "vertex count")
         if n < 1:
             raise InvalidInputError("vertex count must be >= 1")
+        if not isinstance(edges, (list, tuple)):
+            raise InvalidInputError(f"edges must be a list, got {edges!r}")
+        if n > len(edges) + 1:  # a connected graph has at least n - 1 edges
+            raise InvalidInputError("graph is not connected")
         self.n = n
         self.edges = []
         table = [[None] * n for _ in range(n)]
         for i in range(n):
             table[i][i] = Fraction(0)
-        if not isinstance(edges, (list, tuple)):
-            raise InvalidInputError(f"edges must be a list, got {edges!r}")
         for edge in edges:
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
                 raise InvalidInputError(f"edge must be [i, j, weight], got {edge!r}")
@@ -286,7 +288,24 @@ class FiniteGraphSpace(MetricSpace):
         return f"finite_graph(n={self.n})"
 
 
-class ScaledSpace(MetricSpace):
+class WrappedSpace(MetricSpace):
+    """An inner space's points under a new metric: the points, their JSON
+    form and the universe are the inner space's."""
+
+    def check_point(self, p):
+        self.inner.check_point(p)
+
+    def point_to_json(self, p):
+        return self.inner.point_to_json(p)
+
+    def point_from_json(self, obj):
+        return self.inner.point_from_json(obj)
+
+    def universe(self):
+        return self.inner.universe()
+
+
+class ScaledSpace(WrappedSpace):
     """An inner space with every distance multiplied by a positive rational."""
 
     kind = "scaled"
@@ -301,18 +320,6 @@ class ScaledSpace(MetricSpace):
     def distance(self, p, q):
         return self.factor * self.inner.distance(p, q)
 
-    def check_point(self, p):
-        self.inner.check_point(p)
-
-    def point_to_json(self, p):
-        return self.inner.point_to_json(p)
-
-    def point_from_json(self, obj):
-        return self.inner.point_from_json(obj)
-
-    def universe(self):
-        return self.inner.universe()
-
     def to_json(self):
         return {
             "kind": "scaled",
@@ -324,7 +331,7 @@ class ScaledSpace(MetricSpace):
         return f"scaled({format_rational(self.factor)} * {self.inner.describe()})"
 
 
-class DiscreteAdapterSpace(MetricSpace):
+class DiscreteAdapterSpace(WrappedSpace):
     """An inner space's points re-equipped with the 0/1 discrete metric."""
 
     kind = "discrete"
@@ -335,18 +342,6 @@ class DiscreteAdapterSpace(MetricSpace):
     def distance(self, p, q):
         return 0 if p == q else 1
 
-    def check_point(self, p):
-        self.inner.check_point(p)
-
-    def point_to_json(self, p):
-        return self.inner.point_to_json(p)
-
-    def point_from_json(self, obj):
-        return self.inner.point_from_json(obj)
-
-    def universe(self):
-        return self.inner.universe()
-
     def to_json(self):
         return {"kind": "discrete", "inner": self.inner.to_json()}
 
@@ -356,7 +351,7 @@ class DiscreteAdapterSpace(MetricSpace):
 
 def base_space(space):
     """Unwrap scaled/discrete adapters down to the underlying space."""
-    while isinstance(space, (ScaledSpace, DiscreteAdapterSpace)):
+    while isinstance(space, WrappedSpace):
         space = space.inner
     return space
 

@@ -10,12 +10,19 @@ from .errors import InvalidInputError
 IDENTITY = ()
 
 
+def check_word(letters):
+    """The letters as a tuple, as given, once each is checked to be a nonzero int."""
+    word = tuple(letters)
+    for s in word:
+        if not isinstance(s, int) or isinstance(s, bool) or s == 0:
+            raise InvalidInputError(f"bad word letter {s!r}")
+    return word
+
+
 def reduce_word(letters):
     """Reduce an arbitrary letter sequence to a reduced word."""
     out = []
-    for s in letters:
-        if not isinstance(s, int) or isinstance(s, bool) or s == 0:
-            raise InvalidInputError(f"bad word letter {s!r}")
+    for s in check_word(letters):
         if out and out[-1] == -s:
             out.pop()
         else:

@@ -67,12 +67,27 @@ def test_separate_c4_budget_exhausted(capsys):
     assert json.loads(out)["status"] == "budget-exhausted"
 
 
+def test_oracle_budget_exhausted_carries_oracle_verdict(capsys):
+    code, out, _ = run(capsys, "oracle", "--in", instance_path("c4_separate.json"))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "budget-exhausted"
+    assert payload["oracle"]["best_ratio"] == "0"
+
+
 def test_escape_zd2(capsys):
     code, out, _ = run(capsys, "escape", "--in", instance_path("escape_zd2.json"))
     assert code == 0
     payload = json.loads(out)
     assert payload["word"] == [-1, -1]
     assert payload["point"] == [-2, 0]
+
+
+def test_escape_table_prints_point_as_json(capsys):
+    path = instance_path("escape_zd2.json")
+    code, out, _ = run(capsys, "escape", "--in", path, "--format", "table")
+    assert code == 0
+    assert out == "word   [-1 -1]\npoint  [-2, 0]\n"
 
 
 def test_discrete_pair(capsys):
@@ -246,12 +261,26 @@ Z1 = {
 VALID_SEPARATE = {**Z1, "P": [{"point": [0], "eps": "2"}], "Q": [[0]]}
 VALID_SEQUENCE = {**Z1, "tuple": [[0]], "eps": "2", "n": 2}
 C2 = {"kind": "finite_graph", "n": 2, "edges": [[0, 1, 1]]}
+VALID_DISCRETE = {**Z1, "P": [[0]], "Q": [[0]]}
 Z1_CERT = str(pathlib.Path(__file__).resolve().parent / "golden" / "z1_single.out")
+Z1_CERT_DOC = json.loads(pathlib.Path(Z1_CERT).read_text(encoding="utf-8"))
+
+
+def _cert(**fields):
+    """z1_single's certificate with some fields replaced."""
+    return {**Z1_CERT_DOC, **fields}
+
+
+def _trace(**fields):
+    """z1_single's certificate with some fields of its trace replaced."""
+    return _cert(trace={**Z1_CERT_DOC["trace"], **fields})
 
 
 def _probe(name, command, doc, *extra, message):
-    """One malformed run: ``doc`` is written to --in (None: --in is a
-    directory); a None in ``extra`` also stands for that directory."""
+    """One malformed run: ``doc`` is written to --in, as is when it is a
+    string, as JSON otherwise (None: --in is a directory); in ``extra`` a None
+    also stands for that directory and a dict is written to a certificate
+    file whose path takes its place."""
     return pytest.param(command, doc, extra, message, id=name)
 
 
@@ -332,6 +361,58 @@ def _probe(name, command, doc, *extra, message):
             message="edge",
         ),
         _probe("n-bool", "sequence", {**VALID_SEQUENCE, "n": True}, message="n must"),
+        _probe(
+            "achieved-entry-not-a-pair",
+            "separate",
+            VALID_SEPARATE,
+            "--check",
+            _cert(achieved=[[1]]),
+            message="achieved entry",
+        ),
+        _probe(
+            "achieved-a-string",
+            "discrete",
+            VALID_DISCRETE,
+            "--check",
+            _cert(achieved="ab"),
+            message="achieved entry",
+        ),
+        _probe(
+            "restarts-a-string",
+            "oracle",
+            VALID_SEPARATE,
+            "--certificate",
+            _trace(restarts="x"),
+            message="restarts",
+        ),
+        _probe(
+            "restarts-negative",
+            "separate",
+            VALID_SEPARATE,
+            "--check",
+            _trace(restarts=-5),
+            message="restarts",
+        ),
+        _probe(
+            "restarts-bool",
+            "discrete",
+            VALID_DISCRETE,
+            "--check",
+            _trace(restarts=True),
+            message="restarts",
+        ),
+        _probe(
+            "nested-too-deep",
+            "separate",
+            "[" * 100000 + "]" * 100000,
+            message="bad JSON",
+        ),
+        _probe(
+            "graph-with-too-few-edges",
+            "separate",
+            {"space": {**C2, "n": 2000, "edges": []}, "generators": [], "P": [], "Q": []},
+            message="not connected",
+        ),
     ],
 )
 def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message):
@@ -339,13 +420,19 @@ def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message)
     infile = tmp_path
     if doc is not None:
         infile = tmp_path / "instance.json"
-        infile.write_text(json.dumps(doc))
+        infile.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = [command, "--in", str(infile)]
-    argv += [str(tmp_path) if arg is None else arg for arg in extra]
+    for arg in extra:
+        if isinstance(arg, dict):
+            certificate = tmp_path / "certificate.json"
+            certificate.write_text(json.dumps(arg))
+            arg = certificate
+        argv.append(str(tmp_path if arg is None else arg))
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("invalid input:") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -386,6 +473,14 @@ def test_experiment_deterministic(capsys):
 def test_experiment_rejects_unknown_kind(capsys):
     code, _, err = run(capsys, "experiment", "--kinds", "nope", "-n", "1")
     assert code == 3
+
+
+def test_experiment_rejects_compact_kind(capsys):
+    """Compact instances have C and D, not the P and Q a row compares."""
+    code, out, err = run(capsys, "experiment", "--kinds", "compact1d", "-n", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid input:")
 
 
 def test_instance_subcommand(capsys):

@@ -6,12 +6,14 @@ fails here; a deliberate output change regenerates the expected file by
 running the same subcommand and says why in CHANGES.md.
 """
 
+import json
 import pathlib
 
 import pytest
 
 from conftest import INSTANCE_DIR, instance_path
 from orbitsep.cli import main
+from orbitsep.oracle import INSTANCE_KINDS
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -35,6 +37,9 @@ INSTANCE_RUNS = {
     "z1_single": ("separate", 0),
 }
 
+# `orbitsep instance` runs pinned by instance_kinds_seeds.out, one line each.
+INSTANCE_SEEDS = (0, 1, 2, 3, 99, 12345, 2**64 - 1)
+
 
 def test_every_instance_has_a_golden_run():
     stems = {p.stem for p in INSTANCE_DIR.glob("*.json")}
@@ -55,4 +60,17 @@ def test_experiment_csv_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     expected = (GOLDEN_DIR / "experiment_zd2_n100_seed7.csv").read_text(encoding="utf-8")
+    assert out == expected
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_seeded_instance_matches_golden(capsys, kind):
+    golden = (GOLDEN_DIR / "instance_kinds_seeds.out").read_text(encoding="utf-8")
+    expected = [
+        line for line in golden.splitlines(keepends=True) if json.loads(line)["kind"] == kind
+    ]
+    out = []
+    for seed in INSTANCE_SEEDS:
+        assert main(["instance", "--kind", kind, "--seed", str(seed)]) == 0
+        out.append(capsys.readouterr().out)
     assert out == expected

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import orbitsep as O
+from orbitsep import oracle
 from orbitsep.errors import InvalidInputError
 from orbitsep.oracle import CSV_COLUMNS
 
@@ -138,6 +139,8 @@ def test_differential_check_budget_exhaustion_is_not_mismatch():
     report = O.differential_check(inst)
     assert report.status == "budget-exhausted"
     assert not report.mismatch
+    assert report.certificate is None
+    assert report.to_json()["oracle"]["best_ratio"] == "0"
 
 
 def test_experiment_single_row():
@@ -154,6 +157,20 @@ def test_experiment_c4_row_records_budget_exhaustion():
     assert row["status"] == "budget-exhausted"
     assert row["cert_ratio"] == ""
     assert result.min_ratio is None
+
+
+def test_experiment_row_reports_mismatch(monkeypatch):
+    """A row is a differential check: a wrong certificate reads "mismatch"."""
+    solve = oracle.separate_points
+
+    def inflated_ratio(*args):
+        cert = solve(*args)
+        return O.SeparationCertificate(cert.word, cert.achieved, cert.ratio + 1, cert.trace)
+
+    monkeypatch.setattr(oracle, "separate_points", inflated_ratio)
+    row = O.ratio_experiment(["zd2"], 1, 9).rows[0]
+    assert row["status"] == "mismatch"
+    assert row["cert_ratio"] != ""
 
 
 def test_experiment_min_ratio_at_least_third():

@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -309,3 +310,39 @@ def test_free_group_separation(free2_action):
     Q = [(), (2,), (1, 2)]
     cert = O.separate_points(free2_action, P, Q, O.OrbitBudget(3000, 12))
     assert_valid(free2_action, P, Q, cert)
+
+
+def _referenced_names(func):
+    """Every global name the function's code uses, following the package's
+    module-level functions it calls (methods are not followed)."""
+    names, seen, todo = set(), set(), [func]
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        codes = [fn.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            for name in code.co_names:
+                callee = fn.__globals__.get(name)
+                if isinstance(callee, types.FunctionType) and callee.__module__.startswith(
+                    "orbitsep"
+                ):
+                    todo.append(callee)
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return names
+
+
+@pytest.mark.parametrize(
+    "checker", [O.check_certificate, O.replay_trace, O.evaluate_word], ids=lambda f: f.__name__
+)
+def test_checker_shares_no_search_code(checker):
+    """The checker re-derives a certificate without the solver's search."""
+    assert not _referenced_names(checker) & {
+        "find_escape",
+        "orbit_stream",
+        "_detect_q0",
+        "_separate",
+    }
