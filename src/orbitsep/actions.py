@@ -15,6 +15,7 @@ it.  Every search is bounded by an ``OrbitBudget``; running out of budget
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import BudgetExhaustedError, InvalidInputError
 from .rationals import INF
@@ -58,10 +59,10 @@ class Translation:
         _require_fit(self, space, ZdSpace, lambda b: len(self.v) == b.dim)
 
     def forward(self, p):
-        return tuple(a + b for a, b in zip(p, self.v))
+        return tuple(map(add, p, self.v))
 
     def backward(self, p):
-        return tuple(a - b for a, b in zip(p, self.v))
+        return tuple(map(sub, p, self.v))
 
     def to_json(self):
         return {"kind": "translation", "v": list(self.v)}
@@ -190,14 +191,10 @@ class GeneratedAction:
             gen.check(space)
         self.space = space
         self.generators = generators
-        self._signed = []
-        for i in range(1, len(generators) + 1):
-            self._signed.append(i)
-            self._signed.append(-i)
 
     def signed_order(self):
         """Signed generator indices in expansion order: +1, -1, +2, -2, ..."""
-        return list(self._signed)
+        return [s for s, _ in self.moves()]
 
     def step(self, s, p):
         """Apply one signed generator to a point."""
@@ -207,10 +204,28 @@ class GeneratedAction:
         gen = self.generators[i - 1]
         return gen.forward(p) if s > 0 else gen.backward(p)
 
+    def moves(self):
+        """[(s, map of signed generator s)] in expansion order.
+
+        Read from ``generators`` on every call, so a generator replaced after
+        construction is the one applied.
+        """
+        return [
+            (s, gen.forward if s > 0 else gen.backward)
+            for i, gen in enumerate(self.generators, 1)
+            for s in (i, -i)
+        ]
+
     def apply_word(self, w, p):
         """Apply a word to a point, rightmost letter first."""
+        if not w:
+            return p
+        table = dict(self.moves())
         for s in reversed(w):
-            p = self.step(s, p)
+            move = table.get(s)
+            if move is None:
+                raise InvalidInputError(f"generator index {s} out of range")
+            p = move(p)
         return p
 
     def generators_to_json(self):
@@ -262,13 +277,13 @@ def orbit_stream(action, p, budget=DEFAULT_BUDGET, stats=None):
     yield p, IDENTITY
     queue = deque([(p, IDENTITY)])
     maxlen = budget.max_word_length
-    signed = action._signed
+    moves = action.moves()
     while queue:
         x, w = queue.popleft()
         if len(w) >= maxlen:
             continue
-        for s in signed:
-            y = action.step(s, x)
+        for s, move in moves:
+            y = move(x)
             if y in seen:
                 continue
             if count >= budget.max_points:
@@ -346,7 +361,7 @@ def max_step_displacement(action, p):
     searches use it to discard targets that no in-budget word can approach.
     """
     space = action.space
-    return max(space.distance(p, action.step(s, p)) for s in action._signed)
+    return max(space.distance(p, move(p)) for _, move in action.moves())
 
 
 class IsometryViolation:
@@ -385,7 +400,7 @@ def verify_isometry(action, pairs=()):
 
     def check_pair(x, y):
         dxy = space.distance(x, y)
-        for s in action._signed:
+        for s in action.signed_order():
             moved = space.distance(action.step(s, x), action.step(s, y))
             if moved != dxy:
                 violations.append(

@@ -351,6 +351,8 @@ def _cmd_experiment(args):
     for kind in kinds:
         if kind not in INSTANCE_KINDS:
             raise InvalidInputError(f"unknown kind {kind!r}; have {INSTANCE_KINDS}")
+        if kind == "compact1d":  # C and D, not the P and Q a row compares
+            raise InvalidInputError("differential_check expects a P/Q instance")
     budget = None
     if args.budget_points is not None or args.budget_len is not None:
         budget = _budget({}, args)

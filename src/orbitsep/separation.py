@@ -93,10 +93,15 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     """Bounded detection of Q-points whose radius-ball meets the pivot orbit.
 
     Scans the budgeted orbit once, returning the first witness word per
-    detected point, keyed in Q order.  Points provably out of reach (further
-    than radius + max_word_length * max step displacement) are skipped up
-    front.  Missing a true member here is sound: the caller repairs it by
-    restarting with the witness it stumbled on.
+    detected point, keyed in Q order.  With D the largest displacement of
+    the pivot by one signed generator, an orbit point reached by a word of
+    length k lies within k * D of the pivot (generators are isometries), so
+    it can only come within the radius of y when d(pivot, y) < radius + k * D.
+    Each y is therefore compared only against orbit points whose word is at
+    least that smallest k long, and skipped outright when that k exceeds
+    max_word_length (or D is 0 and y lies outside the radius).  Missing a
+    true member here is sound: the caller repairs it by restarting with the
+    witness it stumbled on.
     """
     found = {}
     if not q_points:
@@ -104,19 +109,34 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     space = action.space
     rf = Fraction(radius)
     rn, rd = rf.numerator, rf.denominator
-    horizon = rf + budget.max_word_length * max_step_displacement(action, pivot)
-    remaining = [y for y in q_points if space.distance(pivot, y) < horizon]
-    if not remaining:
+    reach = max_step_displacement(action, pivot)
+    pending = {}  # first useful word length -> Q-points, in Q order
+    for y in q_points:
+        gap = space.distance(pivot, y) - rf
+        if gap < 0:
+            k = 0
+        elif reach == 0:
+            continue
+        else:
+            k = gap // reach + 1
+        if k <= budget.max_word_length:
+            pending.setdefault(k, []).append(y)
+    if not pending:
         return found
+    active = pending.pop(0, [])
+    length = 0
     for x, w in orbit_stream(action, pivot, budget, stats):
+        while len(w) > length:
+            length += 1
+            active += pending.pop(length, ())
         still = []
-        for y in remaining:
+        for y in active:
             if space.distance(x, y) * rd < rn:
                 found[y] = w
             else:
                 still.append(y)
-        remaining = still
-        if not remaining:
+        active = still
+        if not active and not pending:
             break
     return {y: found[y] for y in q_points if y in found}
 

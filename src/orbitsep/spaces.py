@@ -19,6 +19,8 @@ operation here is a pure function, so they are safe to share between threads.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import sub
 
 from .errors import InvalidInputError
 from .rationals import INF, format_rational, parse_rational
@@ -76,8 +78,8 @@ class ZdSpace(MetricSpace):
 
     def distance(self, p, q):
         if self.norm == "l1":
-            return sum(abs(a - b) for a, b in zip(p, q))
-        return max(abs(a - b) for a, b in zip(p, q))
+            return sum(map(abs, map(sub, p, q)))
+        return max(map(abs, map(sub, p, q)))
 
     def check_point(self, p):
         if not isinstance(p, tuple) or len(p) != self.dim:
@@ -203,8 +205,8 @@ class DiscreteShiftSpace(MetricSpace):
 class FiniteGraphSpace(MetricSpace):
     """Shortest-path metric on a connected weighted graph.
 
-    The all-pairs table is computed once at construction (Floyd-Warshall over
-    Fractions), so lookups are O(1) and exact.
+    The all-pairs table is computed once at construction (one Dijkstra per
+    source over Fractions, O(n * m log n)), so lookups are O(1) and exact.
     """
 
     kind = "finite_graph"
@@ -219,9 +221,7 @@ class FiniteGraphSpace(MetricSpace):
             raise InvalidInputError("graph is not connected")
         self.n = n
         self.edges = []
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            table[i][i] = Fraction(0)
+        adjacency = [{} for _ in range(n)]  # neighbour -> lightest edge weight
         for edge in edges:
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
                 raise InvalidInputError(f"edge must be [i, j, weight], got {edge!r}")
@@ -236,28 +236,12 @@ class FiniteGraphSpace(MetricSpace):
             if weight == INF or weight <= 0:
                 raise InvalidInputError(f"edge weight must be a positive rational, got {w!r}")
             self.edges.append((i, j, weight))
-            if table[i][j] is None or weight < table[i][j]:
-                table[i][j] = weight
-                table[j][i] = weight
-        for k in range(n):
-            row_k = table[k]
-            for i in range(n):
-                ik = table[i][k]
-                if ik is None:
-                    continue
-                row_i = table[i]
-                for j in range(n):
-                    kj = row_k[j]
-                    if kj is None:
-                        continue
-                    via = ik + kj
-                    if row_i[j] is None or via < row_i[j]:
-                        row_i[j] = via
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] is None:
-                    raise InvalidInputError("graph is not connected")
-        self._table = table
+            if weight < adjacency[i].get(j, INF):
+                adjacency[i][j] = adjacency[j][i] = weight
+        first = _shortest_paths(adjacency, 0)
+        if None in first:
+            raise InvalidInputError("graph is not connected")
+        self._table = [first] + [_shortest_paths(adjacency, s) for s in range(1, n)]
 
     def distance(self, p, q):
         return self._table[p][q]
@@ -286,6 +270,25 @@ class FiniteGraphSpace(MetricSpace):
 
     def describe(self):
         return f"finite_graph(n={self.n})"
+
+
+def _shortest_paths(adjacency, source):
+    """Exact distances from ``source`` (Dijkstra); None where unreachable."""
+    dist = [None] * len(adjacency)
+    dist[source] = Fraction(0)
+    heap = [(dist[source], source)]
+    settled = set()
+    while heap:
+        d, u = heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        for v, w in adjacency[u].items():
+            via = d + w
+            if dist[v] is None or via < dist[v]:
+                dist[v] = via
+                heappush(heap, (via, v))
+    return dist
 
 
 class WrappedSpace(MetricSpace):

@@ -36,6 +36,32 @@ def test_apply_index_out_of_range(z1_action):
         z1_action.apply_word((2,), (0,))
 
 
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_bad_letter_raises(zd2_action, letter):
+    """Letter 0 and len(generators) + 1 name no generator."""
+    with pytest.raises(InvalidInputError):
+        zd2_action.step(letter, (0, 0))
+    with pytest.raises(InvalidInputError):
+        zd2_action.apply_word((letter,), (0, 0))
+    with pytest.raises(InvalidInputError):
+        zd2_action.apply_word((1, letter, -2), (0, 0))
+
+
+def test_replaced_generator_is_applied():
+    act = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))])
+    act.generators[0] = O.Translation((3,))
+    got = list(islice(O.orbit_stream(act, (0,)), 5))
+    assert got == [
+        ((0,), ()),
+        ((3,), (1,)),
+        ((-3,), (-1,)),
+        ((6,), (1, 1)),
+        ((-6,), (-1, -1)),
+    ]
+    assert act.apply_word((1, 1), (0,)) == (6,)
+    assert act.step(-1, (0,)) == (-3,)
+
+
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
     O.reduce_word
 )

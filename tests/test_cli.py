@@ -483,6 +483,15 @@ def test_experiment_rejects_compact_kind(capsys):
     assert err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_experiment_rejects_compact_kind_before_any_row(capsys, n):
+    """A compact kind later in the cycle is refused before the zd2 row runs."""
+    code, out, err = run(capsys, "experiment", "--kinds", "zd2,compact1d", "-n", n)
+    assert code == 3
+    assert out == ""
+    assert err == "invalid input: differential_check expects a P/Q instance\n"
+
+
 def test_instance_subcommand(capsys):
     code, out, _ = run(capsys, "instance", "--kind", "zd2", "--seed", "42")
     assert code == 0

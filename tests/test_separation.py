@@ -9,6 +9,7 @@ from orbitsep.errors import (
     InvalidInputError,
     TraceReplayError,
 )
+from orbitsep.separation import _detect_q0
 
 Z_FALLBACK = {
     "P": [((0,), 3), ((50,), 3)],
@@ -346,3 +347,58 @@ def test_checker_shares_no_search_code(checker):
         "_detect_q0",
         "_separate",
     }
+
+
+def _full_scan_q0(action, pivot, q_points, radius, budget):
+    """Every Q-point within the fixed horizon against every orbit point."""
+    space = action.space
+    step = O.max_step_displacement(action, pivot)
+    horizon = radius + budget.max_word_length * step
+    candidates = [y for y in q_points if space.distance(pivot, y) < horizon]
+    found = {}
+    for x, w in O.orbit_stream(action, pivot, budget):
+        for y in candidates:
+            if y not in found and space.distance(x, y) < radius:
+                found[y] = w
+    return {y: found[y] for y in q_points if y in found}
+
+
+def _q0_actions():
+    z2 = [O.Translation((1, 0)), O.Translation((0, 1)), O.Translation((2, -1))]
+    z1 = [O.Translation((1,))]
+    path3 = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, "1/2"]])
+    return {
+        "zd_l1": (O.ZdSpace(2, "l1"), z2),
+        "zd_linf": (O.ZdSpace(2, "linf"), z2),
+        "free2": (O.FreeSpace(2), [O.LeftMultiplication((1,)), O.LeftMultiplication((2,))]),
+        "shift": (O.DiscreteShiftSpace(), [O.Shift()]),
+        "c4": (
+            O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]),
+            [O.VertexPermutation((1, 2, 3, 0))],
+        ),
+        "scaled": (O.ScaledSpace(O.ZdSpace(1, "l1"), "3/2"), z1),  # D = 3/2
+        "discrete": (O.DiscreteAdapterSpace(O.ZdSpace(1, "l1")), z1),
+        # The reflection fixes the middle vertex: D = 0 for pivot 1.
+        "fixed_pivot": (path3, [O.VertexPermutation((2, 1, 0))]),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_q0_actions()))
+def test_detect_q0_matches_full_scan(kind):
+    space, gens = _q0_actions()[kind]
+    action = O.GeneratedAction(space, gens)
+    rng = O.SplitMix64(sum(map(ord, kind)))
+    sample = lambda: O.sample_point(space, rng, coord_max=8, word_max=4)
+    budgets = [O.OrbitBudget(6, 8), O.OrbitBudget(40, 3), O.OrbitBudget(2000, 6)]
+    for case in range(40):
+        pivot = 1 if kind == "fixed_pivot" else sample()
+        q_points = list(dict.fromkeys(sample() for _ in range(1 + rng.below(8))))
+        radius = Fraction(1 + rng.below(12), 1 + rng.below(3))
+        budget = budgets[case % len(budgets)]
+        expected = _full_scan_q0(action, pivot, q_points, radius, budget)
+        got = _detect_q0(action, pivot, q_points, radius, budget)
+        assert got == expected
+        assert list(got) == list(expected)  # Q order
+    if kind == "fixed_pivot":
+        assert O.max_step_displacement(action, 1) == 0
+        assert _detect_q0(action, 1, [0, 1, 2], Fraction(1, 2), budgets[2]) == {1: ()}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,44 @@ def test_finite_graph_path():
 def test_finite_graph_rational_weights():
     g = O.FiniteGraphSpace(3, [[0, 1, "1/2"], [1, 2, "1/3"], [0, 2, "7"]])
     assert O.distance(g, 0, 2) == Fraction(5, 6)
+
+
+def _floyd_warshall(n, edges):
+    """All-pairs shortest paths the slow way, as the reference table."""
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        table[i][i] = Fraction(0)
+    for i, j, w in edges:
+        w = Fraction(w)
+        if table[i][j] is None or w < table[i][j]:
+            table[i][j] = table[j][i] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if table[i][k] is not None and table[k][j] is not None:
+                    via = table[i][k] + table[k][j]
+                    if table[i][j] is None or via < table[i][j]:
+                        table[i][j] = via
+    return table
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_finite_graph_table_matches_floyd_warshall(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    weight = lambda: f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+    # A random spanning tree keeps the graph connected; the extra edges add
+    # cycles and parallel edges (some repeating a tree edge, both orders).
+    edges = [[rng.randrange(v), v, weight()] for v in range(1, n)]
+    if n > 1:
+        for _ in range(rng.randint(0, 2 * n)):
+            edges.append([*rng.sample(range(n), 2), weight()])
+    edges += [[j, i, weight()] for i, j, _ in rng.sample(edges, len(edges) // 3)]
+    g = O.FiniteGraphSpace(n, edges)
+    expected = _floyd_warshall(n, edges)
+    got = [[g.distance(i, j) for j in range(n)] for i in range(n)]
+    assert got == expected
+    assert all(type(d) is Fraction for row in got for d in row)
 
 
 def test_finite_graph_validation():
