@@ -64,6 +64,9 @@ class Translation:
     def backward(self, p):
         return tuple(map(sub, p, self.v))
 
+    def power(self, p, k):
+        return tuple([a + k * b for a, b in zip(p, self.v)])
+
     def to_json(self):
         return {"kind": "translation", "v": list(self.v)}
 
@@ -79,6 +82,14 @@ class LeftMultiplication:
     def __init__(self, word):
         self.word = reduce_word(word)
         self._inverse = invert(self.word)
+        # word = head . core . head^-1 with core cyclically reduced, so the
+        # k-th power is head . core^k . head^-1, reduced as written.
+        m, n = 0, len(self.word)
+        while 2 * m + 1 < n and self.word[m] == -self.word[n - 1 - m]:
+            m += 1
+        self._head, self._tail = self.word[:m], self.word[n - m :]
+        self._core = self.word[m : n - m]
+        self._core_inverse = invert(self._core)
 
     def check(self, space):
         letters = max((abs(s) for s in self.word), default=0)
@@ -89,6 +100,10 @@ class LeftMultiplication:
 
     def backward(self, p):
         return compose(self._inverse, p)
+
+    def power(self, p, k):
+        core = self._core if k > 0 else self._core_inverse
+        return compose(self._head + core * abs(k) + self._tail, p)
 
     def to_json(self):
         return {"kind": "leftmul", "w": word_to_string(self.word)}
@@ -110,6 +125,9 @@ class Shift:
 
     def backward(self, p):
         return p - 1
+
+    def power(self, p, k):
+        return p + k
 
     def to_json(self):
         return {"kind": "shift"}
@@ -141,6 +159,12 @@ class VertexPermutation:
 
     def backward(self, p):
         return self._inv[p]
+
+    def power(self, p, k):
+        table = self.perm if k > 0 else self._inv
+        for _ in range(abs(k)):
+            p = table[p]
+        return p
 
     def to_json(self):
         return {"kind": "perm", "p": list(self.perm)}
@@ -177,10 +201,12 @@ def _json_array(obj, key):
 class GeneratedAction:
     """A metric space together with a finite generator list.
 
-    Only forward/backward maps are stored; the group itself is the set of
-    words over the generators.  Each generator's ``check(space)`` raises
-    InvalidInputError unless it can act on the space; whether it actually
-    preserves distances is checked by :func:`verify_isometry`.
+    Only the generators' maps are stored: ``forward``, ``backward`` and
+    ``power(p, k)``, the k-th power applied to p for a signed ``k != 0``;
+    the group itself is the set of words over the generators.  Each
+    generator's ``check(space)`` raises InvalidInputError unless it can act
+    on the space; whether it actually preserves distances is checked by
+    :func:`verify_isometry`.
     """
 
     def __init__(self, space, generators):
@@ -217,19 +243,39 @@ class GeneratedAction:
         ]
 
     def apply_word(self, w, p):
-        """Apply a word to a point, rightmost letter first."""
-        if not w:
-            return p
-        table = dict(self.moves())
+        """Apply a word to a point, rightmost letter first.
+
+        Each maximal run of one letter is applied as one generator power; a
+        run of length 1 is one ``forward``/``backward`` call.  Generators are
+        read from ``generators``, so a replaced one is the one applied.
+        """
+        generators = self.generators
+        n = len(generators)
+        run, k = _NO_LETTER, 0
         for s in reversed(w):
-            move = table.get(s)
-            if move is None:
-                raise InvalidInputError(f"generator index {s} out of range")
-            p = move(p)
-        return p
+            if s == run:
+                k += 1
+                continue
+            if k:
+                p = _apply_run(generators, run, k, p)
+            if type(s) is not int or not 0 < abs(s) <= n:
+                raise InvalidInputError(f"generator index {s!r} out of range")
+            run, k = s, 1
+        return _apply_run(generators, run, k, p) if k else p
 
     def generators_to_json(self):
         return [g.to_json() for g in self.generators]
+
+
+_NO_LETTER = object()  # equal to no letter, so the first letter opens a run
+
+
+def _apply_run(generators, s, k, p):
+    """Apply signed generator s, k >= 1 times in a row, to p."""
+    gen = generators[abs(s) - 1]
+    if k == 1:
+        return gen.forward(p) if s > 0 else gen.backward(p)
+    return gen.power(p, k if s > 0 else -k)
 
 
 @dataclass(frozen=True)

@@ -443,6 +443,7 @@ def main(argv=None):
                     "status": "budget-exhausted",
                     "explored": exc.explored,
                     "detail": str(exc),
+                    "partial_levels": exc.partial_levels,
                 }
             )
         )
@@ -451,6 +452,9 @@ def main(argv=None):
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RecursionError:  # the solver recurses once per point of P
+        print("unknown: instance too large for the recursion limit", file=sys.stderr)
+        return EXIT_BUDGET
     except OrbitsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

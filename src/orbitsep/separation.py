@@ -152,6 +152,16 @@ def _enlarge(action, q_points, q0, a):
     return list(seen)
 
 
+def _partial_level(space, pivot, eps, stage, **extra):
+    """A level cut short by an exhausted budget, as a JSON-ready dict."""
+    return {
+        "pivot": space.point_to_json(pivot),
+        "eps": format_rational(eps),
+        "stage": stage,
+        **extra,
+    }
+
+
 def _separate(action, weighted, q_points, budget, stats):
     if not weighted:
         return IDENTITY, None
@@ -167,7 +177,7 @@ def _separate(action, weighted, q_points, budget, stats):
     try:
         a = find_escape(action, pivot, q_points, eps, budget, stats)
     except BudgetExhaustedError as exc:
-        exc.partial_levels.append({"pivot": pivot, "eps": eps, "stage": "escape"})
+        exc.partial_levels.append(_partial_level(space, pivot, eps, "escape"))
         raise
     moved = [(action.apply_word(a, x), ex) for x, ex in rest]
     # With nothing left to recurse on, h is the identity and the direct case
@@ -182,13 +192,9 @@ def _separate(action, weighted, q_points, budget, stats):
             h, child = _separate(action, moved, enlarged, budget, stats)
         except BudgetExhaustedError as exc:
             exc.partial_levels.append(
-                {
-                    "pivot": pivot,
-                    "eps": eps,
-                    "stage": "recursion",
-                    "escape": a,
-                    "restarts": restarts,
-                }
+                _partial_level(
+                    space, pivot, eps, "recursion", escape=list(a), restarts=restarts
+                )
             )
             raise
         ha = compose(h, a)

@@ -7,15 +7,18 @@ Built-in spaces:
   ``d(u, v) = |u^-1 v|``.
 * ``discrete_shift`` — the integers under the 0/1 discrete metric.
 * ``finite_graph`` — vertices of a connected weighted graph under the
-  shortest-path metric (all pairs precomputed at construction).
+  shortest-path metric (one row of distances per source vertex, computed on
+  first use).
 * ``scaled`` — any inner space with distances multiplied by a positive
   rational constant.
 * ``discrete`` — any inner space re-equipped with the 0/1 discrete metric.
 
 Distances are ints or Fractions, never floats; the only non-finite value is
 the ``INF`` sentinel returned by ``distance_to_set`` and ``set_distance`` on
-an empty side.  Space values are immutable after construction and every
-operation here is a pure function, so they are safe to share between threads.
+an empty side.  Every operation here is a pure function of its arguments, and
+a space's only mutable state is a graph's cache of distance rows, whose
+entries never change once computed, so spaces are safe to share between
+threads.
 """
 
 from fractions import Fraction
@@ -205,8 +208,10 @@ class DiscreteShiftSpace(MetricSpace):
 class FiniteGraphSpace(MetricSpace):
     """Shortest-path metric on a connected weighted graph.
 
-    The all-pairs table is computed once at construction (one Dijkstra per
-    source over Fractions, O(n * m log n)), so lookups are O(1) and exact.
+    Distances from a source vertex come from one exact Dijkstra over
+    Fractions (O(m log n)), run the first time that source is looked up and
+    kept; construction runs only the one from vertex 0, which also checks
+    that the graph is connected.  Later lookups are O(1).
     """
 
     kind = "finite_graph"
@@ -238,10 +243,9 @@ class FiniteGraphSpace(MetricSpace):
             self.edges.append((i, j, weight))
             if weight < adjacency[i].get(j, INF):
                 adjacency[i][j] = adjacency[j][i] = weight
-        first = _shortest_paths(adjacency, 0)
-        if None in first:
+        self._table = _DistanceRows(adjacency)
+        if None in self._table[0]:
             raise InvalidInputError("graph is not connected")
-        self._table = [first] + [_shortest_paths(adjacency, s) for s in range(1, n)]
 
     def distance(self, p, q):
         return self._table[p][q]
@@ -270,6 +274,17 @@ class FiniteGraphSpace(MetricSpace):
 
     def describe(self):
         return f"finite_graph(n={self.n})"
+
+
+class _DistanceRows(dict):
+    """source vertex -> its distance row, computed on first lookup."""
+
+    def __init__(self, adjacency):
+        self.adjacency = adjacency
+
+    def __missing__(self, source):
+        row = self[source] = _shortest_paths(self.adjacency, source)
+        return row
 
 
 def _shortest_paths(adjacency, source):

@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -60,6 +61,91 @@ def test_replaced_generator_is_applied():
     ]
     assert act.apply_word((1, 1), (0,)) == (6,)
     assert act.step(-1, (0,)) == (-3,)
+
+
+def _fold_step(action, w, p):
+    """apply_word's reference: one ``step`` per letter, rightmost first."""
+    for s in reversed(w):
+        p = action.step(s, p)
+    return p
+
+
+def _zd_action(dim, norm, rng):
+    vectors = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(3)]
+    return O.GeneratedAction(O.ZdSpace(dim, norm), [O.Translation(v) for v in vectors])
+
+
+_PATH7 = [[i, i + 1, 1] for i in range(6)]
+# Left multiplications by words that are not cyclically reduced (and one that
+# is), so their powers cancel inside the generator's own word.
+_LEFTMULS = [(1, 2, -1), (2, 2, 1, -2), (1, 2, 1, -2, -1), (1,)]
+RUN_ACTIONS = {
+    **{
+        f"zd{dim}-{norm}": (lambda rng, dim=dim, norm=norm: _zd_action(dim, norm, rng))
+        for dim in (1, 2, 3)
+        for norm in ("l1", "linf")
+    },
+    "free2": lambda rng: O.GeneratedAction(
+        O.FreeSpace(2), [O.LeftMultiplication(w) for w in _LEFTMULS]
+    ),
+    "shift": lambda rng: O.GeneratedAction(O.DiscreteShiftSpace(), [O.Shift()]),
+    # cycles (0 1 2)(3 4)(5)(6) and (0 6 5 4 3)(1)(2)
+    "perm": lambda rng: O.GeneratedAction(
+        O.FiniteGraphSpace(7, _PATH7),
+        [
+            O.VertexPermutation((1, 2, 0, 4, 3, 5, 6)),
+            O.VertexPermutation((6, 1, 2, 0, 3, 4, 5)),
+        ],
+    ),
+    "scaled": lambda rng: O.GeneratedAction(
+        O.ScaledSpace(O.ZdSpace(2, "l1"), "3/2"),
+        [O.Translation((2, -3)), O.Translation((0, 4))],
+    ),
+    "discrete": lambda rng: O.GeneratedAction(
+        O.DiscreteAdapterSpace(O.FreeSpace(2)),
+        [O.LeftMultiplication(w) for w in _LEFTMULS[:2]],
+    ),
+}
+
+
+def _run_word(rng, n):
+    """Up to 6 runs of one signed letter each, some 40 long, not reduced."""
+    word = ()
+    for _ in range(rng.randint(0, 6)):
+        letter = rng.choice([1, -1]) * rng.randint(1, n)
+        word += (letter,) * rng.choice([1, 2, 3, 7, 40])
+    return word
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_ACTIONS))
+def test_apply_word_matches_letter_by_letter(kind):
+    rng = random.Random(kind)
+    action = RUN_ACTIONS[kind](rng)
+    n = len(action.generators)
+    words = [(1,) * 40 + (-n,) * 7, (-1,) * 40, (1, -1) * 3, ()]
+    words += [_run_word(rng, n) for _ in range(40)]
+    points = [O.sample_point(action.space, O.SplitMix64(i)) for i in range(5)]
+    for w in words:
+        for p in points:
+            assert action.apply_word(w, p) == _fold_step(action, w, p), (w, p)
+    for i, gen in enumerate(action.generators, 1):
+        for k in range(1, 6):
+            for p in points:
+                assert gen.power(p, k) == _fold_step(action, (i,) * k, p)
+                assert gen.power(p, -k) == _fold_step(action, (-i,) * k, p)
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3, "x", None, 1.5, [1]])
+def test_bad_letter_after_a_run_raises(zd2_action, letter):
+    """A bad letter raises InvalidInputError wherever it sits among runs."""
+    for w in [
+        (letter,) + (1,) * 40,
+        (1,) * 40 + (letter,),
+        (2,) * 5 + (letter,) + (-1,) * 9,
+        (letter, letter),
+    ]:
+        with pytest.raises(InvalidInputError):
+            zd2_action.apply_word(w, (0, 0))
 
 
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(

@@ -67,6 +67,42 @@ def test_separate_c4_budget_exhausted(capsys):
     assert json.loads(out)["status"] == "budget-exhausted"
 
 
+def test_budget_exhausted_payload_lists_partial_levels(capsys, tmp_path):
+    """Innermost level first; the outer level records its escape and restarts."""
+    c4 = json.loads(pathlib.Path(instance_path("c4_separate.json")).read_text())
+    # The pivot 0 escapes Q = [2]; Q' = [2, 0] then leaves vertex 1 no escape
+    # at radius 2.
+    c4["P"] = [{"point": 0, "eps": "2"}, {"point": 1, "eps": "2"}]
+    c4["Q"] = [2]
+    infile = tmp_path / "c4_two.json"
+    infile.write_text(json.dumps(c4))
+    code, out, _ = run(capsys, "separate", "--in", str(infile))
+    assert code == 2
+    assert json.loads(out)["partial_levels"] == [
+        {"pivot": 1, "eps": "2", "stage": "escape"},
+        {"pivot": 0, "eps": "2", "stage": "recursion", "escape": [], "restarts": 0},
+    ]
+    code, out, _ = run(capsys, "escape", "--in", instance_path("c4_full.json"))
+    assert code == 2
+    assert json.loads(out)["partial_levels"] == []
+
+
+def test_deep_recursion_exits_2(capsys, tmp_path):
+    """|P| = 1200 recurses past Python's limit: "unknown", not a traceback."""
+    doc = {
+        "space": {"kind": "zd", "dim": 1, "norm": "l1"},
+        "generators": [{"kind": "translation", "v": [1]}],
+        "P": [{"point": [i], "eps": "1"} for i in range(1200)],
+        "Q": [],
+    }
+    infile = tmp_path / "deep.json"
+    infile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "separate", "--in", str(infile))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("unknown:")
+
+
 def test_oracle_budget_exhausted_carries_oracle_verdict(capsys):
     code, out, _ = run(capsys, "oracle", "--in", instance_path("c4_separate.json"))
     assert code == 2

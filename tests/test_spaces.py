@@ -164,6 +164,17 @@ def test_finite_graph_table_matches_floyd_warshall(seed):
     assert all(type(d) is Fraction for row in got for d in row)
 
 
+def test_finite_graph_rows_are_computed_on_first_use():
+    n = 2000
+    g = O.FiniteGraphSpace(n, [[i, i + 1, 1] for i in range(n - 1)])
+    assert list(g._table) == [0]  # only the connectivity check's row
+    assert g.distance(1500, 3) == 1497
+    assert g.distance(3, 1500) == 1497
+    assert sorted(g._table) == [0, 3, 1500]
+    assert g.distance(1500, 0) == 1500
+    assert sorted(g._table) == [0, 3, 1500]
+
+
 def test_finite_graph_validation():
     with pytest.raises(InvalidInputError):
         O.FiniteGraphSpace(3, [[0, 1, 1]])  # disconnected
