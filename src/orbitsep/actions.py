@@ -143,6 +143,9 @@ class VertexPermutation:
 
     def __init__(self, perm):
         perm = tuple(perm)
+        for j in perm:
+            if not isinstance(j, int) or isinstance(j, bool):
+                raise InvalidInputError(f"permutation entries must be ints, got {perm!r}")
         if sorted(perm) != list(range(len(perm))):
             raise InvalidInputError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
         self.perm = perm

@@ -14,6 +14,7 @@ recurrence, so any instance is reproducible from its integer seed alone.
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .actions import (
@@ -27,7 +28,7 @@ from .actions import (
     VertexPermutation,
 )
 from .errors import BudgetExhaustedError, InvalidInputError
-from .rationals import INF, format_rational, is_inf, ratio_of
+from .rationals import INF, format_rational, is_inf
 from .separation import (
     certificate_to_json,
     check_certificate,
@@ -91,53 +92,57 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     BFS over image tuples with the same signed-generator order as the orbit
     search; each image carries the first word reaching it.  A tuple is valid
     when min over p of d(image_p, Q) / eps_p is at least 1/3 (vacuously INF
-    when P is empty).  Returns all valid representatives, the best one, and
-    the number of distinct images explored.
+    when P or Q is empty).  Returns all valid representatives, the best one,
+    and the number of distinct images explored.
+
+    Ratios stay exact without a Fraction per image: with eps_p = en/ed,
+    d/eps_p is the pair (d.num * ed, d.den * en), pairs are compared by
+    cross-multiplying, and (1, 0) stands for INF.
     """
-    if not isinstance(max_word_length, int) or max_word_length < 0:
-        raise InvalidInputError("max_word_length must be a nonnegative int")
+    _check_bound(max_word_length)
     weighted = list(weighted)
     q_points = list(q_points)
-    space = action.space
+    for _, eps in weighted:
+        if eps == INF or eps <= 0:
+            raise InvalidInputError("every eps must be a positive finite rational")
+    distance = action.space.distance
+    # With Q empty every d(image_p, Q) is INF, so every image rates INF.
+    eps_parts = [(e.numerator, e.denominator) for _, e in weighted] if q_points else []
 
     def rate(image):
-        ratio = INF
-        for p, (_, eps) in zip(image, weighted):
-            d = INF
-            for y in q_points:
-                dy = space.distance(p, y)
-                if dy < d:
-                    d = dy
-            r = ratio_of(d, eps)
-            if r < ratio:
-                ratio = r
-        return ratio
+        num, den = 1, 0
+        for p, (en, ed) in zip(image, eps_parts):
+            d = min(map(distance, repeat(p), q_points))
+            n, m = d.numerator * ed, d.denominator * en
+            if n * den < num * m:
+                num, den = n, m
+        return num, den
 
     start = tuple(p for p, _ in weighted)
     seen = {start: IDENTITY}
     queue = deque([(start, IDENTITY)])
     valid_images = {}
     best_word = IDENTITY
-    best_ratio = rate(start)
-    if is_inf(best_ratio) or 3 * best_ratio >= 1:
+    best_num, best_den = rate(start)
+    if 3 * best_num >= best_den:
         valid_images[start] = IDENTITY
-    signed = action.signed_order()
+    moves = action.moves()
     while queue:
         node, w = queue.popleft()
         if len(w) >= max_word_length:
             continue
-        for s in signed:
-            nxt = tuple(action.step(s, p) for p in node)
+        for s, move in moves:
+            nxt = tuple(map(move, node))
             if nxt in seen:
                 continue
             nw = (s,) + w
             seen[nxt] = nw
             queue.append((nxt, nw))
-            ratio = rate(nxt)
-            if is_inf(ratio) or 3 * ratio >= 1:
+            num, den = rate(nxt)
+            if 3 * num >= den:
                 valid_images[nxt] = nw
-            if ratio > best_ratio:
-                best_ratio = ratio
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
                 best_word = nw
     if stats is not None:
         stats.points += len(seen)
@@ -145,9 +150,18 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
         valid_words=list(valid_images.values()),
         valid_images=valid_images,
         best_word=best_word,
-        best_ratio=best_ratio,
+        best_ratio=Fraction(best_num, best_den) if best_den else INF,
         explored=len(seen),
     )
+
+
+def _check_bound(max_word_length):
+    if (
+        not isinstance(max_word_length, int)
+        or isinstance(max_word_length, bool)
+        or max_word_length < 0
+    ):
+        raise InvalidInputError("max_word_length must be a nonnegative int")
 
 
 @dataclass(frozen=True)
@@ -363,6 +377,7 @@ def differential_check(instance, oracle_bound=8, certificate=None):
     """
     if instance.c_weighted is not None:
         raise InvalidInputError("differential_check expects a P/Q instance")
+    _check_bound(oracle_bound)
     action = instance.action()
     stats = SearchStats()
     problems = []

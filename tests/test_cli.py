@@ -385,6 +385,29 @@ def _probe(name, command, doc, *extra, message):
             message="'p'",
         ),
         _probe(
+            "perm-entry-a-string",
+            "separate",
+            {"space": C2, "generators": [{"kind": "perm", "p": [0, "a"]}], "P": [], "Q": []},
+            message="permutation entries",
+        ),
+        _probe(
+            "perm-entry-a-float",
+            "oracle",
+            {
+                "space": {"kind": "finite_graph", "n": 3, "edges": [[0, 1, 1], [1, 2, 1]]},
+                "generators": [{"kind": "perm", "p": [0, 2.0, 1]}],
+                "P": [],
+                "Q": [],
+            },
+            message="permutation entries",
+        ),
+        _probe(
+            "perm-entry-a-bool",
+            "verify",
+            {"space": C2, "generators": [{"kind": "perm", "p": [True, 0]}]},
+            message="permutation entries",
+        ),
+        _probe(
             "edges-not-a-list",
             "separate",
             {"space": {**C2, "edges": 5}, "generators": [], "P": [], "Q": []},

@@ -1,3 +1,5 @@
+import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -51,6 +53,151 @@ def test_brute_force_monotone_in_bound(z1_action):
         for bound in range(0, 9)
     ]
     assert all(a <= b for a, b in zip(ratios, ratios[1:]))
+
+
+def _reference_verdict(action, weighted, q_points, bound):
+    """brute_force_separate's reference: a BFS folding ``step``, Fraction ratios."""
+    space = action.space
+
+    def rate(image):
+        ratio = O.INF
+        for p, (_, eps) in zip(image, weighted):
+            d = min((space.distance(p, y) for y in q_points), default=O.INF)
+            r = O.INF if d == O.INF else Fraction(d) / Fraction(eps)
+            if r < ratio:
+                ratio = r
+        return ratio
+
+    start = tuple(p for p, _ in weighted)
+    seen = {start}
+    queue = deque([(start, ())])
+    valid = {}
+    best_word, best_ratio = (), rate(start)
+    if 3 * best_ratio >= 1:
+        valid[start] = ()
+    while queue:
+        node, w = queue.popleft()
+        if len(w) >= bound:
+            continue
+        for s in action.signed_order():
+            nxt = tuple(action.step(s, p) for p in node)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            queue.append((nxt, (s,) + w))
+            ratio = rate(nxt)
+            if 3 * ratio >= 1:
+                valid[nxt] = (s,) + w
+            if ratio > best_ratio:
+                best_ratio, best_word = ratio, (s,) + w
+    return list(valid.values()), best_word, best_ratio, len(seen)
+
+
+def _zd2(norm, u, v):
+    return O.GeneratedAction(O.ZdSpace(2, norm), [O.Translation(u), O.Translation(v)])
+
+
+def _z1_line(space, step):
+    return O.GeneratedAction(space, [O.Translation((step,))])
+
+
+# The 6-cycle under a rotation and a reflection: a dihedral group, so vertex
+# stabilisers are not trivial.
+DIHEDRAL6 = O.GeneratedAction(
+    O.FiniteGraphSpace(6, [[i, (i + 1) % 6, 1] for i in range(6)]),
+    [O.VertexPermutation((1, 2, 3, 4, 5, 0)), O.VertexPermutation((0, 5, 4, 3, 2, 1))],
+)
+
+EXACT_ACTIONS = {
+    "zd2-l1": _zd2("l1", (2, -1), (1, 3)),
+    "zd2-linf": _zd2("linf", (2, -1), (1, 3)),
+    "free2": O.GeneratedAction(
+        O.FreeSpace(2), [O.LeftMultiplication((1,)), O.LeftMultiplication((2,))]
+    ),
+    "shift": O.GeneratedAction(O.DiscreteShiftSpace(), [O.Shift()]),
+    "c4": O.GeneratedAction(
+        O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]),
+        [O.VertexPermutation((1, 2, 3, 0))],
+    ),
+    "dihedral6": DIHEDRAL6,
+    "scaled": _z1_line(O.ScaledSpace(O.ZdSpace(1, "l1"), Fraction(3, 2)), 2),
+    "discrete": _z1_line(O.DiscreteAdapterSpace(O.ZdSpace(1, "linf")), 1),
+}
+
+
+def _distinct_sample(space, draw, coord_max):
+    """The distinct points among 30 seeded draws, in draw order."""
+    points = []
+    for _ in range(30):
+        p = O.sample_point(space, draw, coord_max=coord_max, word_max=3)
+        if p not in points:
+            points.append(p)
+    return points
+
+
+def _sample_sets(action, rng, p_count, q_count):
+    """Distinct seeded P (with eps in {1/2, 1, ..., 4}) and Q points."""
+    points = _distinct_sample(action.space, O.SplitMix64(rng.randrange(1 << 32)), 6)
+    eps = [Fraction(rng.randint(1, 8), 2) for _ in points]
+    weighted = list(zip(points[:p_count], eps))
+    return weighted, points[p_count : p_count + q_count]
+
+
+def _assert_same_verdict(action, weighted, q_points, bound):
+    verdict = O.brute_force_separate(action, weighted, q_points, bound)
+    got = (verdict.valid_words, verdict.best_word, verdict.best_ratio, verdict.explored)
+    assert got == _reference_verdict(action, weighted, q_points, bound)
+    return verdict
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ACTIONS))
+def test_brute_force_matches_fraction_reference(kind):
+    """Integer-pair ratios and move-table images give the exact verdict of a
+    per-letter ``step`` BFS rating every image with Fractions."""
+    rng = random.Random(kind)
+    action = EXACT_ACTIONS[kind]
+    bound = 3 if kind == "free2" else 5
+    for _ in range(6):
+        weighted, q_points = _sample_sets(action, rng, rng.randint(1, 3), rng.randint(1, 4))
+        _assert_same_verdict(action, weighted, q_points, bound)
+    weighted, q_points = _sample_sets(action, rng, 2, 3)
+    _assert_same_verdict(action, [], q_points, bound)
+    _assert_same_verdict(action, weighted, [], bound)
+    _assert_same_verdict(action, weighted, q_points, 0)
+
+
+def test_brute_force_ratio_exactly_a_third_is_valid(z1_action):
+    verdict = _assert_same_verdict(z1_action, [((0,), Fraction(3))], [(0,)], 2)
+    assert ((1,),) in verdict.valid_images
+    assert ((-1,),) in verdict.valid_images
+    assert ((0,),) not in verdict.valid_images
+
+
+@pytest.mark.parametrize("bound", [True, False, -1, 1.0, "8"])
+def test_brute_force_rejects_a_bad_bound(z1_action, bound):
+    with pytest.raises(InvalidInputError, match="max_word_length"):
+        O.brute_force_separate(z1_action, [((0,), Fraction(1))], [(0,)], bound)
+
+
+@pytest.mark.parametrize("eps", [0, Fraction(-1, 2), O.INF])
+def test_brute_force_rejects_a_bad_eps(z1_action, eps):
+    """The integer-pair ratios need every eps positive and finite."""
+    with pytest.raises(InvalidInputError, match="eps"):
+        O.brute_force_separate(z1_action, [((0,), eps)], [(0,)], 2)
+
+
+def test_experiment_rejects_a_bool_bound():
+    with pytest.raises(InvalidInputError, match="max_word_length"):
+        O.ratio_experiment(["zd2"], 1, 9, oracle_bound=True)
+
+
+def test_differential_check_validates_the_bound_before_solving(monkeypatch):
+    def solve(*args):
+        raise AssertionError("the solver ran before the bound was checked")
+
+    monkeypatch.setattr(oracle, "separate_points", solve)
+    with pytest.raises(InvalidInputError, match="max_word_length"):
+        O.differential_check(O.random_instance("zd2", 1), oracle_bound=-1)
 
 
 def test_random_instance_determinism():
@@ -110,6 +257,53 @@ def test_differential_check_free_group():
         inst = O.random_instance("free2", master.next_u64(), budget=budget)
         report = O.differential_check(inst, oracle_bound=6)
         assert report.status == "ok", report.problems
+
+
+# Families random_instance does not draw: (action, largest eps, budget).
+# Only the dihedral 6-cycle may exhaust its budget: Q can cover an orbit
+# there, as in c4.
+DIFFERENTIAL_FAMILIES = {
+    "zd2-linf-skew": (_zd2("linf", (1, 2), (-1, 1)), 4, O.DEFAULT_BUDGET),
+    "zd3-l1": (
+        O.GeneratedAction(
+            O.ZdSpace(3, "l1"),
+            [O.Translation((1, 0, 0)), O.Translation((0, 1, 0)), O.Translation((0, 0, 1))],
+        ),
+        4,
+        O.OrbitBudget(5000, 12),
+    ),
+    "scaled-zd1": (
+        _z1_line(O.ScaledSpace(O.ZdSpace(1, "linf"), Fraction(3, 2)), 1), 4, O.DEFAULT_BUDGET
+    ),
+    "discrete-zd1": (
+        _z1_line(O.DiscreteAdapterSpace(O.ZdSpace(1, "linf")), 1), 1, O.DEFAULT_BUDGET
+    ),
+    "dihedral6": (DIHEDRAL6, 4, O.DEFAULT_BUDGET),
+}
+
+
+def _family_instance(family, seed):
+    action, eps_max, budget = DIFFERENTIAL_FAMILIES[family]
+    rng = O.SplitMix64(seed)
+    points = _distinct_sample(action.space, rng, 8)
+    p_count, q_count = 1 + rng.below(3), 1 + rng.below(4)
+    weighted = [(p, Fraction(1 + rng.below(eps_max))) for p in points[:p_count]]
+    q_points = points[p_count : p_count + q_count]
+    return O.InstanceSpec(
+        family, seed, action.space, action.generators, weighted, q_points, budget=budget
+    )
+
+
+@pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
+def test_differential_check_more_space_kinds(family):
+    master = O.SplitMix64(2024)
+    statuses = set()
+    for _ in range(40):
+        report = O.differential_check(_family_instance(family, master.next_u64()))
+        assert not report.mismatch, report.problems
+        statuses.add(report.status)
+    allowed = {"ok", "budget-exhausted"} if family == "dihedral6" else {"ok"}
+    assert "ok" in statuses and statuses <= allowed
 
 
 def test_differential_check_empty_p():
