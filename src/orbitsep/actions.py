@@ -18,8 +18,9 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import BudgetExhaustedError, InvalidInputError
-from .rationals import INF
+from .rationals import check_int, check_positive
 from .spaces import (
+    EXHAUSTIVE_LIMIT,
     DiscreteShiftSpace,
     FiniteGraphSpace,
     FreeSpace,
@@ -47,10 +48,7 @@ class Translation:
     kind = "translation"
 
     def __init__(self, v):
-        v = tuple(v)
-        for c in v:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise InvalidInputError(f"translation vector must be ints, got {v!r}")
+        v = tuple(check_int(c, "translation vector entry") for c in v)
         if not v:
             raise InvalidInputError("translation vector must be nonempty")
         self.v = v
@@ -142,10 +140,7 @@ class VertexPermutation:
     kind = "perm"
 
     def __init__(self, perm):
-        perm = tuple(perm)
-        for j in perm:
-            if not isinstance(j, int) or isinstance(j, bool):
-                raise InvalidInputError(f"permutation entries must be ints, got {perm!r}")
+        perm = tuple(check_int(j, "permutation entries") for j in perm)
         if sorted(perm) != list(range(len(perm))):
             raise InvalidInputError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
         self.perm = perm
@@ -290,9 +285,7 @@ class OrbitBudget:
 
     def __post_init__(self):
         for name in ("max_points", "max_word_length"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidInputError(f"{name} must be a positive int")
+            check_int(getattr(self, name), name, 1)
 
     def to_json(self):
         return {"max_points": self.max_points, "max_word_length": self.max_word_length}
@@ -353,8 +346,7 @@ def find_escape(action, p, q_points, eps, budget=DEFAULT_BUDGET, stats=None):
     Exhausting the budget (or the whole orbit) raises BudgetExhaustedError
     carrying the explored-point count.
     """
-    if eps == INF or eps <= 0:
-        raise InvalidInputError("eps must be a positive finite rational")
+    check_positive(eps, "eps")
     space = action.space
     explored = 0
     # Consecutive BFS points are near each other, so the Q-point that ruled
@@ -381,10 +373,8 @@ def separated_family(action, p, eps, n, budget=DEFAULT_BUDGET, stats=None):
     Each open eps-ball contains at most one such point, so a successful
     family certifies that no eps-net of the orbit has fewer than n points.
     """
-    if eps == INF or eps <= 0:
-        raise InvalidInputError("eps must be a positive finite rational")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInputError("n must be a positive int")
+    check_positive(eps, "eps")
+    check_int(n, "n", 1)
     space = action.space
     two_eps = 2 * Fraction(eps)
     kept, kept_points = [], []
@@ -469,7 +459,7 @@ def verify_isometry(action, pairs=()):
         check_pair(x, y)
 
     universe = space.universe()
-    if universe is not None and len(universe) <= 64:
+    if universe is not None and len(universe) <= EXHAUSTIVE_LIMIT:
         for x in universe:
             for y in universe:
                 check_pair(x, y)

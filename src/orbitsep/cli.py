@@ -30,7 +30,7 @@ from .oracle import (
     ratio_experiment,
     sample_point,
 )
-from .rationals import format_rational, is_inf, parse_rational
+from .rationals import check_positive, format_rational, parse_rational
 from .separation import (
     certificate_from_json,
     certificate_to_json,
@@ -88,9 +88,7 @@ def _parse_weighted(space, entries, key):
     for e in _list(entries, "weighted point list"):
         if not isinstance(e, dict) or "point" not in e or key not in e:
             raise InvalidInputError(f"weighted entry must have 'point' and {key!r}")
-        weight = parse_rational(e[key])
-        if is_inf(weight) or weight <= 0:
-            raise InvalidInputError(f"{key} must be a positive finite rational")
+        weight = check_positive(parse_rational(e[key]), key)
         out.append((space.point_from_json(e["point"]), weight))
     return out
 
@@ -126,17 +124,13 @@ def _cert_tables(space, cert, show_trace):
         lines.append(
             f"achieved  {json.dumps(space.point_to_json(p))} -> {format_rational(d)}"
         )
-    if show_trace:
-        level = cert.trace
-        depth = 0
-        while level is not None:
+    if show_trace and cert.trace is not None:
+        for depth, level in enumerate(cert.trace.levels()):
             lines.append(
                 f"level {depth}: pivot {json.dumps(space.point_to_json(level.pivot))}"
                 f" eps {format_rational(level.eps)} escape {_word_str(level.escape)}"
                 f" |Q0| {len(level.q0)} restarts {level.restarts} case {level.case}"
             )
-            level = level.child
-            depth += 1
     return lines
 
 
@@ -353,11 +347,8 @@ def _cmd_experiment(args):
             raise InvalidInputError(f"unknown kind {kind!r}; have {INSTANCE_KINDS}")
         if kind == "compact1d":  # C and D, not the P and Q a row compares
             raise InvalidInputError("differential_check expects a P/Q instance")
-    budget = None
-    if args.budget_points is not None or args.budget_len is not None:
-        budget = _budget({}, args)
     result = ratio_experiment(
-        kinds, args.n, args.seed, budget=budget, oracle_bound=args.bound
+        kinds, args.n, args.seed, budget=_budget({}, args), oracle_bound=args.bound
     )
     sys.stdout.write(result.csv_text)
     if result.min_ratio is not None:
@@ -388,14 +379,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, infile=True):
+    def add(name, func, help_text):
+        """A subcommand reading --in; each flag is added only where it is read."""
         p = sub.add_parser(name, help=help_text)
-        if infile:
-            p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-        p.add_argument("--budget-points", type=int, default=None, metavar="N")
-        p.add_argument("--budget-len", type=int, default=None, metavar="N")
+        p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+        if name not in ("net", "verify"):  # the others search orbits
+            p.add_argument("--budget-points", type=int, default=None, metavar="N")
+            p.add_argument("--budget-len", type=int, default=None, metavar="N")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--trace", action="store_true")
+        if name in ("separate", "discrete", "compact"):  # certificate tables
+            p.add_argument("--trace", action="store_true")
         p.set_defaults(func=func)
         return p
 

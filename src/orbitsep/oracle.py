@@ -28,7 +28,7 @@ from .actions import (
     VertexPermutation,
 )
 from .errors import BudgetExhaustedError, InvalidInputError
-from .rationals import INF, format_rational, is_inf
+from .rationals import INF, check_int, check_positive, format_rational, is_inf
 from .separation import (
     certificate_to_json,
     check_certificate,
@@ -45,9 +45,7 @@ class SplitMix64:
     """Deterministic 64-bit generator (SplitMix64 mixing recurrence)."""
 
     def __init__(self, seed):
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise InvalidInputError("seed must be a nonnegative int")
-        self.state = seed & _MASK64
+        self.state = check_int(seed, "seed", 0) & _MASK64
 
     def next_u64(self):
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -99,12 +97,11 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     d/eps_p is the pair (d.num * ed, d.den * en), pairs are compared by
     cross-multiplying, and (1, 0) stands for INF.
     """
-    _check_bound(max_word_length)
+    check_int(max_word_length, "max_word_length", 0)
     weighted = list(weighted)
     q_points = list(q_points)
     for _, eps in weighted:
-        if eps == INF or eps <= 0:
-            raise InvalidInputError("every eps must be a positive finite rational")
+        check_positive(eps, "eps")
     distance = action.space.distance
     # With Q empty every d(image_p, Q) is INF, so every image rates INF.
     eps_parts = [(e.numerator, e.denominator) for _, e in weighted] if q_points else []
@@ -155,15 +152,6 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     )
 
 
-def _check_bound(max_word_length):
-    if (
-        not isinstance(max_word_length, int)
-        or isinstance(max_word_length, bool)
-        or max_word_length < 0
-    ):
-        raise InvalidInputError("max_word_length must be a nonnegative int")
-
-
 @dataclass(frozen=True)
 class SizeCaps:
     """Size parameters for random instances, with documented hard caps."""
@@ -188,13 +176,11 @@ class SizeCaps:
             "d_max": (self.d_max, 6),
         }
         for name, (value, cap) in limits.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidInputError(f"{name} must be a positive int")
-            if value > cap:
+            if check_int(value, name, 1) > cap:
                 raise InvalidInputError(f"{name}={value} exceeds the cap {cap}")
         for d in self.delta_choices:
-            if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= 16:
-                raise InvalidInputError("delta choices must be ints in 1..16")
+            if check_int(d, "delta choice", 1) > 16:
+                raise InvalidInputError(f"delta choice {d} exceeds the cap 16")
 
 
 DEFAULT_SIZES = SizeCaps()
@@ -237,11 +223,11 @@ class InstanceSpec:
         return out
 
 
-def _distinct_points(count, sampler):
+def _distinct_points(count, space, rng, sizes):
     points = []
     seen = set()
     while len(points) < count:
-        p = sampler()
+        p = sample_point(space, rng, sizes.coord_max, sizes.word_max)
         if p not in seen:
             seen.add(p)
             points.append(p)
@@ -276,11 +262,9 @@ def random_instance(kind, seed, sizes=None, budget=None):
         if kind == "free2":
             space = FreeSpace(2)
             gens = [LeftMultiplication((1,)), LeftMultiplication((2,))]
-            sampler = lambda: _free_word(rng, 2, sizes.word_max)
         elif kind == "shift":
             space = DiscreteShiftSpace()
             gens = [Shift()]
-            sampler = lambda: _coord(rng, sizes.coord_max)
         else:
             dim = 2 if kind == "zd2" else 1
             space = ZdSpace(dim, "linf")
@@ -288,22 +272,20 @@ def random_instance(kind, seed, sizes=None, budget=None):
                 Translation(tuple(1 if j == i else 0 for j in range(dim)))
                 for i in range(dim)
             ]
-            sampler = lambda: tuple(_coord(rng, sizes.coord_max) for _ in range(dim))
-        p_points = _distinct_points(1 + rng.below(sizes.p_max), sampler)
+        p_points = _distinct_points(1 + rng.below(sizes.p_max), space, rng, sizes)
         # Shift points all weigh 1: the discrete metric has no larger distance.
         weighted = [
             (p, Fraction(1 if kind == "shift" else 1 + rng.below(sizes.eps_max)))
             for p in p_points
         ]
-        q_points = _distinct_points(1 + rng.below(sizes.q_max), sampler)
+        q_points = _distinct_points(1 + rng.below(sizes.q_max), space, rng, sizes)
         return InstanceSpec(kind, seed, space, gens, weighted, q_points, budget=budget)
     if kind == "compact1d":
         space = ZdSpace(1, "linf")
         gens = [Translation((1,))]
-        sampler = lambda: (_coord(rng, sizes.coord_max),)
-        c_points = _distinct_points(1 + rng.below(sizes.c_max), sampler)
+        c_points = _distinct_points(1 + rng.below(sizes.c_max), space, rng, sizes)
         c_weighted = [(c, Fraction(rng.pick(sizes.delta_choices))) for c in c_points]
-        d_points = _distinct_points(1 + rng.below(sizes.d_max), sampler)
+        d_points = _distinct_points(1 + rng.below(sizes.d_max), space, rng, sizes)
         if budget is DEFAULT_BUDGET:
             # The enlarged obstacle set roughly doubles its 1-D spread per
             # recursion level, so the last escape can sit far outside the
@@ -377,7 +359,7 @@ def differential_check(instance, oracle_bound=8, certificate=None):
     """
     if instance.c_weighted is not None:
         raise InvalidInputError("differential_check expects a P/Q instance")
-    _check_bound(oracle_bound)
+    check_int(oracle_bound, "max_word_length", 0)
     action = instance.action()
     stats = SearchStats()
     problems = []
@@ -450,8 +432,7 @@ def ratio_experiment(
     aggregate minimum certificate ratio over rows with a certificate is
     returned alongside the CSV text (None when no row has one).
     """
-    if not isinstance(n_instances, int) or n_instances < 1:
-        raise InvalidInputError("n_instances must be a positive int")
+    check_int(n_instances, "n_instances", 1)
     kinds = list(kinds)
     if not kinds:
         raise InvalidInputError("at least one instance kind is required")

@@ -20,6 +20,25 @@ def is_inf(x):
     return x == INF
 
 
+def check_int(x, what, minimum=None):
+    """``x`` once it is an int, not a bool, and at least ``minimum`` if given."""
+    if not isinstance(x, int) or isinstance(x, bool) or (
+        minimum is not None and x < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidInputError(f"{what} must be an int{bound}, got {x!r}")
+    return x
+
+
+def check_positive(x, what):
+    """``x`` once it is a positive int or Fraction: not a bool, a float or INF."""
+    exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    if not exact or x <= 0:
+        shown = x if exact else repr(x)  # "3/2", not "Fraction(3, 2)"
+        raise InvalidInputError(f"{what} must be a positive rational, got {shown}")
+    return x
+
+
 def parse_rational(value):
     """Parse ``"p/q"``, ``"n"``, ``"inf"``, or a plain int into an exact value."""
     if value == "inf":

@@ -34,7 +34,9 @@ from .actions import (
     orbit_stream,
 )
 from .errors import BudgetExhaustedError, InvalidInputError, TraceReplayError
-from .rationals import INF, format_rational, is_inf, parse_rational, ratio_of
+from .rationals import (
+    INF, check_int, check_positive, format_rational, is_inf, parse_rational, ratio_of
+)
 from .spaces import (
     distance_to_set,
     first_within,
@@ -78,8 +80,7 @@ class SeparationCertificate:
 def _check_weighted(action, weighted, what="P"):
     for p, eps in weighted:
         action.space.check_point(p)
-        if eps == INF or eps <= 0:
-            raise InvalidInputError(f"weight for {p!r} must be a positive rational")
+        check_positive(eps, f"weight for {p!r}")
     require_distinct([p for p, _ in weighted], what)
 
 
@@ -331,10 +332,8 @@ def separated_sequence(action, tuple_points, eps, n, budget=None, stats=None):
     already placed.  Cross-copy coordinate distances are >= eps exactly, and
     every copy is reproducible as w_k applied to the input tuple.
     """
-    if eps == INF or eps <= 0:
-        raise InvalidInputError("eps must be a positive finite rational")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInputError("n must be a positive int")
+    check_positive(eps, "eps")
+    check_int(n, "n", 1)
     tuple_points = list(tuple_points)
     _check_points(action, tuple_points, "tuple")
     three = 3 * Fraction(eps)
@@ -509,9 +508,7 @@ def trace_from_json(space, obj):
     if obj is None:
         return None
     try:
-        restarts = obj["restarts"]
-        if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 0:
-            raise InvalidInputError(f"trace restarts must be an int >= 0, got {restarts!r}")
+        restarts = check_int(obj["restarts"], "trace restarts", 0)
         return LevelTrace(
             pivot=space.point_from_json(obj["pivot"]),
             eps=parse_rational(obj["eps"]),

@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 from operator import sub
 
 from .errors import InvalidInputError
-from .rationals import INF, format_rational, parse_rational
+from .rationals import INF, check_int, check_positive, format_rational, parse_rational
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -60,20 +60,13 @@ class MetricSpace:
         return self.kind
 
 
-def _check_int(x, what):
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InvalidInputError(f"{what} must be an int, got {x!r}")
-
-
 class ZdSpace(MetricSpace):
     """Integer lattice of a fixed dimension under the l1 or linf norm."""
 
     kind = "zd"
 
     def __init__(self, dim, norm="linf"):
-        _check_int(dim, "dimension")
-        if dim < 1:
-            raise InvalidInputError("dimension must be >= 1")
+        check_int(dim, "dimension", 1)
         if norm not in ("l1", "linf"):
             raise InvalidInputError(f"norm must be 'l1' or 'linf', got {norm!r}")
         self.dim = dim
@@ -88,7 +81,7 @@ class ZdSpace(MetricSpace):
         if not isinstance(p, tuple) or len(p) != self.dim:
             raise InvalidInputError(f"expected a {self.dim}-tuple of ints, got {p!r}")
         for c in p:
-            _check_int(c, "lattice coordinate")
+            check_int(c, "lattice coordinate")
 
     def point_to_json(self, p):
         return list(p)
@@ -118,7 +111,7 @@ class FreeSpace(MetricSpace):
     kind = "free"
 
     def __init__(self, rank):
-        _check_int(rank, "rank")
+        check_int(rank, "rank")
         if not 1 <= rank <= len(_LETTERS):
             raise InvalidInputError(f"rank must be in 1..{len(_LETTERS)}")
         self.rank = rank
@@ -134,7 +127,7 @@ class FreeSpace(MetricSpace):
         if not isinstance(p, tuple):
             raise InvalidInputError(f"free-group point must be a word tuple, got {p!r}")
         for s in p:
-            _check_int(s, "word letter")
+            check_int(s, "word letter")
             if s == 0 or abs(s) > self.rank:
                 raise InvalidInputError(f"letter {s} outside rank-{self.rank} alphabet")
         for k in range(len(p) - 1):
@@ -192,7 +185,7 @@ class DiscreteShiftSpace(MetricSpace):
         return 0 if p == q else 1
 
     def check_point(self, p):
-        _check_int(p, "point")
+        check_int(p, "point")
 
     def point_to_json(self, p):
         return p
@@ -217,9 +210,7 @@ class FiniteGraphSpace(MetricSpace):
     kind = "finite_graph"
 
     def __init__(self, n, edges):
-        _check_int(n, "vertex count")
-        if n < 1:
-            raise InvalidInputError("vertex count must be >= 1")
+        check_int(n, "vertex count", 1)
         if not isinstance(edges, (list, tuple)):
             raise InvalidInputError(f"edges must be a list, got {edges!r}")
         if n > len(edges) + 1:  # a connected graph has at least n - 1 edges
@@ -231,15 +222,13 @@ class FiniteGraphSpace(MetricSpace):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
                 raise InvalidInputError(f"edge must be [i, j, weight], got {edge!r}")
             i, j, w = edge
-            _check_int(i, "edge endpoint")
-            _check_int(j, "edge endpoint")
+            check_int(i, "edge endpoint")
+            check_int(j, "edge endpoint")
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInputError(f"edge endpoint out of range in {edge!r}")
             if i == j:
                 raise InvalidInputError(f"self-loop {edge!r} not allowed")
-            weight = parse_rational(w)
-            if weight == INF or weight <= 0:
-                raise InvalidInputError(f"edge weight must be a positive rational, got {w!r}")
+            weight = check_positive(parse_rational(w), "edge weight")
             self.edges.append((i, j, weight))
             if weight < adjacency[i].get(j, INF):
                 adjacency[i][j] = adjacency[j][i] = weight
@@ -251,7 +240,7 @@ class FiniteGraphSpace(MetricSpace):
         return self._table[p][q]
 
     def check_point(self, p):
-        _check_int(p, "vertex")
+        check_int(p, "vertex")
         if not 0 <= p < self.n:
             raise InvalidInputError(f"vertex {p} out of range 0..{self.n - 1}")
 
@@ -329,11 +318,8 @@ class ScaledSpace(WrappedSpace):
     kind = "scaled"
 
     def __init__(self, inner, factor):
-        factor = parse_rational(factor)
-        if factor == INF or factor <= 0:
-            raise InvalidInputError("scale factor must be a positive rational")
         self.inner = inner
-        self.factor = Fraction(factor)
+        self.factor = Fraction(check_positive(parse_rational(factor), "scale factor"))
 
     def distance(self, p, q):
         return self.factor * self.inner.distance(p, q)
@@ -433,8 +419,7 @@ def set_distance(space, ps, qs):
 
 def in_open_ball(space, center, radius, x):
     """True iff d(center, x) < radius (strict, exact)."""
-    if radius == INF or radius <= 0:
-        raise InvalidInputError("radius must be a positive finite rational")
+    check_positive(radius, "radius")
     return distance(space, center, x) < radius
 
 
@@ -443,10 +428,10 @@ def greedy_epsilon_net(space, points, eps):
 
     The result N is a subset of the input in input order, and every input
     point lies strictly within eps of some kept point.  Net size is not
-    minimized; determinism is the contract.
+    minimized; determinism is the contract.  An INF eps keeps the first point.
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be > 0")
+    if eps != INF:
+        check_positive(eps, "eps")
     net = []
     for p in points:
         if first_within(space, p, net, eps) is None:

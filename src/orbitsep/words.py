@@ -6,6 +6,7 @@ reduced (no adjacent ``+i, -i`` pair).
 """
 
 from .errors import InvalidInputError
+from .rationals import check_int
 
 IDENTITY = ()
 
@@ -14,8 +15,8 @@ def check_word(letters):
     """The letters as a tuple, as given, once each is checked to be a nonzero int."""
     word = tuple(letters)
     for s in word:
-        if not isinstance(s, int) or isinstance(s, bool) or s == 0:
-            raise InvalidInputError(f"bad word letter {s!r}")
+        if check_int(s, "word letter") == 0:
+            raise InvalidInputError("word letter must be nonzero, got 0")
     return word
 
 

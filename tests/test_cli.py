@@ -502,8 +502,22 @@ def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message)
         (["nonsense"], 3),
         ([], 3),
         (["separate", "--help"], 0),
+        (["net", "--budget-points", "5", "--in", instance_path("net_z.json")], 3),
+        (["verify", "--trace", "--in", instance_path("verify_zd2.json")], 3),
+        (["orbit", "--trace", "--in", instance_path("orbit_zd2.json")], 3),
+        (["oracle", "--trace", "--in", instance_path("z1_single.json")], 3),
     ],
-    ids=["missing-in", "non-int-flag", "unknown-subcommand", "no-subcommand", "help"],
+    ids=[
+        "missing-in",
+        "non-int-flag",
+        "unknown-subcommand",
+        "no-subcommand",
+        "help",
+        "net-budget-points",
+        "verify-trace",
+        "orbit-trace",
+        "oracle-trace",
+    ],
 )
 def test_usage_errors_exit_3(capsys, argv, code):
     """argparse's own exit 2 would read as "budget exhausted"."""

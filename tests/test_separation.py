@@ -175,6 +175,63 @@ def test_sequence_validation(z1_action):
         O.separated_sequence(z1_action, [(0,), (0,)], 1, 2)
 
 
+def _inexact(name, call, message):
+    """``call(action on Z, stats)`` must refuse its input with ``message``."""
+    return pytest.param(call, message, id=name)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        _inexact(
+            "escape-eps-float",
+            lambda a, s: O.find_escape(a, (0,), [(0,)], 0.5, stats=s),
+            "eps must be a positive rational, got 0.5",
+        ),
+        _inexact(
+            "escape-eps-bool",
+            lambda a, s: O.find_escape(a, (0,), [(0,)], True, stats=s),
+            "eps must be a positive rational, got True",
+        ),
+        _inexact(
+            "net-eps-float",
+            lambda a, s: O.greedy_epsilon_net(a.space, [(0,), (1,), (9,)], 0.5),
+            "eps must be a positive rational, got 0.5",
+        ),
+        _inexact(
+            "oracle-weight-float",
+            lambda a, s: O.brute_force_separate(a, [((0,), 0.5)], [(0,)], 2, s),
+            "eps must be a positive rational, got 0.5",
+        ),
+        *(
+            _inexact(
+                f"separate-weight-{shown}",
+                lambda a, s, w=w: O.separate_points(a, [((0,), w)], [(0,)], stats=s),
+                f"weight for (0,) must be a positive rational, got {shown}",
+            )
+            for w, shown in ((0.5, "0.5"), (O.INF, "inf"), (0, "0"), (True, "True"))
+        ),
+        _inexact(
+            "sequence-eps-bool",
+            lambda a, s: O.separated_sequence(a, [(0,)], True, 2, stats=s),
+            "eps must be a positive rational, got True",
+        ),
+        _inexact(
+            "experiment-count-bool",
+            lambda a, s: O.ratio_experiment(["zd2"], True, 7),
+            "n_instances must be an int >= 1, got True",
+        ),
+    ],
+)
+def test_entry_points_reject_inexact_numbers(z1_action, call, message):
+    """Bools, floats and INF are refused before any orbit point is explored."""
+    stats = O.SearchStats()
+    with pytest.raises(InvalidInputError) as info:
+        call(z1_action, stats)
+    assert message in str(info.value)
+    assert stats.points == 0
+
+
 def test_full_existence_example(z1_action):
     sigma, realization = O.full_existence_step(
         z1_action, [(5,)], [((0,), Fraction(3))]
