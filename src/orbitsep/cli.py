@@ -5,12 +5,14 @@ Subcommands map one-to-one onto library operations; instances are JSON files
 
 Exit codes: 0 success, 2 budget exhausted, 3 invalid input, schema or
 usage, 4 metric/isometry violation detected, 5 differential or certificate
-mismatch.
+mismatch.  A subcommand reading --in exits with the code of its payload's
+"status" (``EXIT_FOR_STATUS``), in JSON and table mode alike.
 """
 
 import argparse
 import json
 import sys
+from functools import cached_property, partial
 
 from .actions import (
     GeneratedAction,
@@ -50,6 +52,16 @@ EXIT_INVALID = 3
 EXIT_VIOLATION = 4
 EXIT_MISMATCH = 5
 
+# The exit code of every payload a subcommand prints, by its "status".
+EXIT_FOR_STATUS = {
+    "ok": EXIT_OK,
+    "check-ok": EXIT_OK,
+    "budget-exhausted": EXIT_BUDGET,
+    "violations": EXIT_VIOLATION,
+    "check-failed": EXIT_MISMATCH,
+    "mismatch": EXIT_MISMATCH,
+}
+
 
 def _load_json(path):
     try:
@@ -61,36 +73,54 @@ def _load_json(path):
         raise InvalidInputError(f"bad JSON in {path}: {exc}") from exc
 
 
-def _require(obj, key, path):
-    if not isinstance(obj, dict) or key not in obj:
-        raise InvalidInputError(f"{path}: missing required field {key!r}")
-    return obj[key]
-
-
 def _list(entries, what):
     if not isinstance(entries, list):
         raise InvalidInputError(f"{what} must be a JSON array, got {entries!r}")
     return entries
 
 
-def _build_action(obj, path):
-    space = space_from_json(_require(obj, "space", path))
-    gens = _list(_require(obj, "generators", path), "generators")
-    return GeneratedAction(space, [generator_from_json(g) for g in gens])
+class _Instance:
+    """The --in document, read once; its space and action are built once each.
 
+    Fields are decoded when a subcommand asks for them, in the order it asks,
+    so a malformed document reports its first bad field.
+    """
 
-def _parse_points(space, entries):
-    return [space.point_from_json(e) for e in _list(entries, "point list")]
+    def __init__(self, path):
+        self.path = path
+        self.obj = _load_json(path)
+        self.space = space_from_json(self.field("space"))
 
+    def field(self, key):
+        if not isinstance(self.obj, dict) or key not in self.obj:
+            raise InvalidInputError(f"{self.path}: missing required field {key!r}")
+        return self.obj[key]
 
-def _parse_weighted(space, entries, key):
-    out = []
-    for e in _list(entries, "weighted point list"):
-        if not isinstance(e, dict) or "point" not in e or key not in e:
-            raise InvalidInputError(f"weighted entry must have 'point' and {key!r}")
-        weight = check_positive(parse_rational(e[key]), key)
-        out.append((space.point_from_json(e["point"]), weight))
-    return out
+    @cached_property
+    def action(self):
+        gens = _list(self.field("generators"), "generators")
+        return GeneratedAction(self.space, [generator_from_json(g) for g in gens])
+
+    def point(self, key):
+        return self.space.point_from_json(self.field(key))
+
+    def points(self, key):
+        entries = _list(self.field(key), "point list")
+        return [self.space.point_from_json(e) for e in entries]
+
+    def weighted(self, key, weight_key):
+        out = []
+        for e in _list(self.field(key), "weighted point list"):
+            if not isinstance(e, dict) or "point" not in e or weight_key not in e:
+                raise InvalidInputError(
+                    f"weighted entry must have 'point' and {weight_key!r}"
+                )
+            weight = check_positive(parse_rational(e[weight_key]), weight_key)
+            out.append((self.space.point_from_json(e["point"]), weight))
+        return out
+
+    def rational(self, key):
+        return parse_rational(self.field(key))
 
 
 def _budget(obj, args):
@@ -104,11 +134,12 @@ def _budget(obj, args):
     return OrbitBudget(**fields)
 
 
-def _emit(payload, args, table_lines=None):
-    if getattr(args, "format", "json") == "table" and table_lines is not None:
-        print("\n".join(table_lines))
-    else:
-        print(json.dumps(payload))
+def _run(body, args):
+    """One --in subcommand: ``body(instance, args)`` returns its payload and
+    table lines; print one of them and exit with the code of its status."""
+    payload, table_lines = body(_Instance(args.infile), args)
+    print("\n".join(table_lines) if args.format == "table" else json.dumps(payload))
+    return EXIT_FOR_STATUS[payload["status"]]
 
 
 def _word_str(word):
@@ -138,146 +169,99 @@ def _run_check(action, weighted, q_points, args):
     stored = certificate_from_json(action.space, _load_json(args.check))
     problems = check_certificate(action, weighted, q_points, stored)
     if problems:
-        _emit(
-            {"status": "check-failed", "problems": problems},
-            args,
-            ["check FAILED"] + [f"  {p}" for p in problems],
-        )
-        return EXIT_MISMATCH
-    _emit({"status": "check-ok"}, args, ["check ok"])
-    return EXIT_OK
+        payload = {"status": "check-failed", "problems": problems}
+        return payload, ["check FAILED"] + [f"  {p}" for p in problems]
+    return {"status": "check-ok"}, ["check ok"]
 
 
-def _cmd_separate(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    weighted = _parse_weighted(action.space, _require(obj, "P", args.infile), "eps")
-    q_points = _parse_points(action.space, _require(obj, "Q", args.infile))
+def _cmd_separate(doc, args):
+    action = doc.action
+    weighted = doc.weighted("P", "eps")
+    q_points = doc.points("Q")
     if args.check:
         return _run_check(action, weighted, q_points, args)
-    cert = separate_points(action, weighted, q_points, _budget(obj, args))
-    payload = certificate_to_json(action.space, cert)
-    _emit(payload, args, _cert_tables(action.space, cert, args.trace))
-    return EXIT_OK
+    cert = separate_points(action, weighted, q_points, _budget(doc.obj, args))
+    payload = certificate_to_json(doc.space, cert)
+    return payload, _cert_tables(doc.space, cert, args.trace)
 
 
-def _cmd_discrete(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    points = _parse_points(action.space, _require(obj, "P", args.infile))
-    q_points = _parse_points(action.space, _require(obj, "Q", args.infile))
+def _cmd_discrete(doc, args):
+    action = doc.action
+    points = doc.points("P")
+    q_points = doc.points("Q")
     if args.check:
         weighted = [(p, parse_rational(1)) for p in points]
         return _run_check(action, weighted, q_points, args)
-    cert = separate_discrete(action, points, q_points, _budget(obj, args))
-    payload = certificate_to_json(action.space, cert)
-    _emit(payload, args, _cert_tables(action.space, cert, args.trace))
-    return EXIT_OK
+    cert = separate_discrete(action, points, q_points, _budget(doc.obj, args))
+    payload = certificate_to_json(doc.space, cert)
+    return payload, _cert_tables(doc.space, cert, args.trace)
 
 
-def _cmd_compact(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    c_weighted = _parse_weighted(action.space, _require(obj, "C", args.infile), "delta")
-    d_points = _parse_points(action.space, _require(obj, "D", args.infile))
-    result = separate_compact(action, c_weighted, d_points, _budget(obj, args))
-    payload = compact_result_to_json(action.space, result)
+def _cmd_compact(doc, args):
+    result = separate_compact(
+        doc.action, doc.weighted("C", "delta"), doc.points("D"), _budget(doc.obj, args)
+    )
     lines = [
         f"epsilon   {format_rational(result.epsilon)}",
         f"|A| {len(result.net_a)}  |P| {len(result.net_p)}  |Q| {len(result.net_q)}",
-    ] + _cert_tables(action.space, result.certificate, args.trace)
-    _emit(payload, args, lines)
-    return EXIT_OK
+    ] + _cert_tables(doc.space, result.certificate, args.trace)
+    return compact_result_to_json(doc.space, result), lines
 
 
-def _cmd_sequence(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    tuple_points = _parse_points(action.space, _require(obj, "tuple", args.infile))
-    eps = parse_rational(_require(obj, "eps", args.infile))
-    n = _require(obj, "n", args.infile)
-    words = separated_sequence(action, tuple_points, eps, n, _budget(obj, args))
-    space = action.space
+def _cmd_sequence(doc, args):
+    action = doc.action
+    tuple_points = doc.points("tuple")
+    eps, n = doc.rational("eps"), doc.field("n")
+    words = separated_sequence(action, tuple_points, eps, n, _budget(doc.obj, args))
     images = [
-        [space.point_to_json(action.apply_word(w, t)) for t in tuple_points]
+        [doc.space.point_to_json(action.apply_word(w, t)) for t in tuple_points]
         for w in words
     ]
     payload = {"status": "ok", "words": [list(w) for w in words], "images": images}
-    lines = [f"w{i}  {_word_str(w)}" for i, w in enumerate(words, 1)]
-    _emit(payload, args, lines)
-    return EXIT_OK
+    return payload, [f"w{i}  {_word_str(w)}" for i, w in enumerate(words, 1)]
 
 
-def _cmd_fullexist(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    anchors = _parse_points(action.space, _require(obj, "anchors", args.infile))
-    obstacles = _parse_weighted(
-        action.space, _require(obj, "obstacles", args.infile), "eps"
-    )
+def _cmd_fullexist(doc, args):
     sigma, realization = full_existence_step(
-        action, anchors, obstacles, _budget(obj, args)
+        doc.action,
+        doc.points("anchors"),
+        doc.weighted("obstacles", "eps"),
+        _budget(doc.obj, args),
     )
-    space = action.space
-    payload = {
-        "status": "ok",
-        "sigma": list(sigma),
-        "realization": [space.point_to_json(p) for p in realization],
-    }
+    realization = [doc.space.point_to_json(p) for p in realization]
+    payload = {"status": "ok", "sigma": list(sigma), "realization": realization}
     lines = [f"sigma        {_word_str(sigma)}"] + [
-        f"realization  {json.dumps(space.point_to_json(p))}" for p in realization
+        f"realization  {json.dumps(p)}" for p in realization
     ]
-    _emit(payload, args, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_escape(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    p = action.space.point_from_json(_require(obj, "p", args.infile))
-    q_points = _parse_points(action.space, _require(obj, "Q", args.infile))
-    eps = parse_rational(_require(obj, "eps", args.infile))
-    word = find_escape(action, p, q_points, eps, _budget(obj, args))
-    moved = action.apply_word(word, p)
-    payload = {
-        "status": "ok",
-        "word": list(word),
-        "point": action.space.point_to_json(moved),
-    }
-    lines = [f"word   {_word_str(word)}", f"point  {json.dumps(payload['point'])}"]
-    _emit(payload, args, lines)
-    return EXIT_OK
+def _cmd_escape(doc, args):
+    action = doc.action
+    p = doc.point("p")
+    word = find_escape(
+        action, p, doc.points("Q"), doc.rational("eps"), _budget(doc.obj, args)
+    )
+    point = doc.space.point_to_json(action.apply_word(word, p))
+    payload = {"status": "ok", "word": list(word), "point": point}
+    return payload, [f"word   {_word_str(word)}", f"point  {json.dumps(point)}"]
 
 
-def _cmd_orbit(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    p = action.space.point_from_json(_require(obj, "p", args.infile))
-    space = action.space
-    entries = [
-        [space.point_to_json(x), list(w)]
-        for x, w in orbit_stream(action, p, _budget(obj, args))
-    ]
+def _cmd_orbit(doc, args):
+    orbit = orbit_stream(doc.action, doc.point("p"), _budget(doc.obj, args))
+    entries = [[doc.space.point_to_json(x), list(w)] for x, w in orbit]
     payload = {"status": "ok", "orbit": entries}
-    lines = [f"{json.dumps(pt)}  {_word_str(w)}" for pt, w in entries]
-    _emit(payload, args, lines)
-    return EXIT_OK
+    return payload, [f"{json.dumps(pt)}  {_word_str(w)}" for pt, w in entries]
 
 
-def _cmd_net(args):
-    obj = _load_json(args.infile)
-    space = space_from_json(_require(obj, "space", args.infile))
-    points = _parse_points(space, _require(obj, "P", args.infile))
-    eps = parse_rational(_require(obj, "eps", args.infile))
-    net = greedy_epsilon_net(space, points, eps)
-    payload = {"status": "ok", "net": [space.point_to_json(p) for p in net]}
-    _emit(payload, args, [json.dumps(space.point_to_json(p)) for p in net])
-    return EXIT_OK
+def _cmd_net(doc, args):
+    net = greedy_epsilon_net(doc.space, doc.points("P"), doc.rational("eps"))
+    net = [doc.space.point_to_json(p) for p in net]
+    return {"status": "ok", "net": net}, [json.dumps(p) for p in net]
 
 
-def _cmd_verify(args):
-    obj = _load_json(args.infile)
-    space = space_from_json(_require(obj, "space", args.infile))
+def _cmd_verify(doc, args):
+    space = doc.space
     rng = SplitMix64(args.seed)
     triples = [
         (
@@ -289,13 +273,12 @@ def _cmd_verify(args):
     ]
     metric_violations = validate_metric(space, triples)
     isometry_violations = []
-    if obj.get("generators"):
-        action = _build_action(obj, args.infile)
+    if doc.obj.get("generators"):
         pairs = [
             (sample_point(space, rng), sample_point(space, rng))
             for _ in range(args.samples)
         ]
-        isometry_violations = verify_isometry(action, pairs)
+        isometry_violations = verify_isometry(doc.action, pairs)
     ok = not metric_violations and not isometry_violations
     payload = {
         "status": "ok" if ok else "violations",
@@ -308,45 +291,32 @@ def _cmd_verify(args):
     lines += [f"isometry violations: {len(isometry_violations)}"] + [
         f"  {v!r}" for v in isometry_violations
     ]
-    _emit(payload, args, lines)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return payload, lines
 
 
-def _cmd_oracle(args):
-    obj = _load_json(args.infile)
-    action = _build_action(obj, args.infile)
-    weighted = _parse_weighted(action.space, _require(obj, "P", args.infile), "eps")
-    q_points = _parse_points(action.space, _require(obj, "Q", args.infile))
+def _cmd_oracle(doc, args):
+    action = doc.action
     instance = InstanceSpec(
-        kind=obj.get("kind", "file"),
-        seed=obj.get("seed", 0),
-        space=action.space,
+        kind=doc.obj.get("kind", "file"),
+        seed=doc.obj.get("seed", 0),
+        space=doc.space,
         generators=action.generators,
-        weighted_p=weighted,
-        q_points=q_points,
-        budget=_budget(obj, args),
+        weighted_p=doc.weighted("P", "eps"),
+        q_points=doc.points("Q"),
+        budget=_budget(doc.obj, args),
     )
     certificate = None
     if args.certificate:
-        certificate = certificate_from_json(action.space, _load_json(args.certificate))
+        certificate = certificate_from_json(doc.space, _load_json(args.certificate))
     report = differential_check(
         instance, oracle_bound=args.bound, certificate=certificate
     )
-    payload = report.to_json()
     lines = [f"status: {report.status}"] + [f"  {p}" for p in report.problems]
-    _emit(payload, args, lines)
-    if report.status == "budget-exhausted":
-        return EXIT_BUDGET
-    return EXIT_OK if report.status == "ok" else EXIT_MISMATCH
+    return report.to_json(), lines
 
 
 def _cmd_experiment(args):
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in INSTANCE_KINDS:
-            raise InvalidInputError(f"unknown kind {kind!r}; have {INSTANCE_KINDS}")
-        if kind == "compact1d":  # C and D, not the P and Q a row compares
-            raise InvalidInputError("differential_check expects a P/Q instance")
     result = ratio_experiment(
         kinds, args.n, args.seed, budget=_budget({}, args), oracle_bound=args.bound
     )
@@ -380,7 +350,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
-        """A subcommand reading --in; each flag is added only where it is read."""
+        """A subcommand reading --in, run by ``_run``; each flag is added only
+        where it is read."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="infile", required=True, metavar="PATH")
         if name not in ("net", "verify"):  # the others search orbits
@@ -389,7 +360,7 @@ def build_parser():
         p.add_argument("--format", choices=("json", "table"), default="json")
         if name in ("separate", "discrete", "compact"):  # certificate tables
             p.add_argument("--trace", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=partial(_run, func))
         return p
 
     p = add("separate", _cmd_separate, "separate a weighted set P from Q")

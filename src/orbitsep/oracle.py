@@ -253,10 +253,15 @@ def random_instance(kind, seed, sizes=None, budget=None):
 
     The same arguments always yield a byte-identical instance.  Orbits of
     the generated actions are genuinely unbounded for every kind except
-    "c4", the fixed negative control whose orbit is contained in Q.
+    "c4", the fixed negative control whose orbit is contained in Q.  A
+    ``budget`` of None means the kind's default; any other is used as given.
     """
     sizes = sizes or DEFAULT_SIZES
-    budget = budget or DEFAULT_BUDGET
+    if budget is None:
+        # compact1d: the enlarged obstacle set roughly doubles its 1-D spread
+        # per recursion level, so the last escape can sit far outside the
+        # default word-length window.
+        budget = OrbitBudget(100000, 768) if kind == "compact1d" else DEFAULT_BUDGET
     rng = SplitMix64(seed)
     if kind in ("zd2", "zd1", "free2", "shift"):
         if kind == "free2":
@@ -286,11 +291,6 @@ def random_instance(kind, seed, sizes=None, budget=None):
         c_points = _distinct_points(1 + rng.below(sizes.c_max), space, rng, sizes)
         c_weighted = [(c, Fraction(rng.pick(sizes.delta_choices))) for c in c_points]
         d_points = _distinct_points(1 + rng.below(sizes.d_max), space, rng, sizes)
-        if budget is DEFAULT_BUDGET:
-            # The enlarged obstacle set roughly doubles its 1-D spread per
-            # recursion level, so the last escape can sit far outside the
-            # default word-length window.
-            budget = OrbitBudget(100000, 768)
         return InstanceSpec(
             kind,
             seed,
@@ -432,8 +432,13 @@ def ratio_experiment(
     aggregate minimum certificate ratio over rows with a certificate is
     returned alongside the CSV text (None when no row has one).
     """
-    check_int(n_instances, "n_instances", 1)
     kinds = list(kinds)
+    for kind in kinds:  # every kind is checked before the first row is solved
+        if kind not in INSTANCE_KINDS:
+            raise InvalidInputError(f"unknown kind {kind!r}; have {INSTANCE_KINDS}")
+        if kind == "compact1d":  # C and D, not the P and Q a row compares
+            raise InvalidInputError("differential_check expects a P/Q instance")
+    check_int(n_instances, "n_instances", 1)
     if not kinds:
         raise InvalidInputError("at least one instance kind is required")
     master = SplitMix64(seed)

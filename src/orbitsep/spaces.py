@@ -396,9 +396,12 @@ def first_within(space, x, points, r):
     """The first y of ``points``, in input order, with d(x, y) < r; else None.
 
     The strict comparison is exact: ``d * den < num`` with ``r = num/den``,
-    taken apart once per call.  An INF radius contains every point.
+    taken apart once per call.  An INF radius contains every point; any other
+    float is refused.
     """
     if isinstance(r, float):  # INF is the only non-rational radius
+        if r != INF:
+            raise InvalidInputError(f"radius must be a positive rational, got {r!r}")
         return next(iter(points), None)
     rn, rd = r.numerator, r.denominator
     for y in points:

@@ -191,6 +191,21 @@ def test_experiment_rejects_a_bool_bound():
         O.ratio_experiment(["zd2"], 1, 9, oracle_bound=True)
 
 
+@pytest.mark.parametrize("bad_kind", ["compact1d", "nope"])
+def test_experiment_checks_every_kind_before_the_first_row(monkeypatch, bad_kind):
+    calls = []
+    check = oracle.differential_check
+
+    def counted(instance, *args):
+        calls.append(instance.kind)
+        return check(instance, *args)
+
+    monkeypatch.setattr(oracle, "differential_check", counted)
+    with pytest.raises(InvalidInputError):
+        O.ratio_experiment(["zd2", bad_kind], 2, 0)
+    assert calls == []
+
+
 def test_differential_check_validates_the_bound_before_solving(monkeypatch):
     def solve(*args):
         raise AssertionError("the solver ran before the bound was checked")
@@ -384,6 +399,10 @@ def test_instance_spec_json_shapes():
     assert set(sep) == {"kind", "seed", "space", "generators", "P", "Q", "budget"}
     comp = O.random_instance("compact1d", 11).to_json()
     assert set(comp) == {"kind", "seed", "space", "generators", "C", "D", "budget"}
+    assert comp["budget"] == {"max_points": 100000, "max_word_length": 768}
+    # An explicit budget is used as given, whichever object it is.
+    for budget in (O.DEFAULT_BUDGET, O.OrbitBudget()):
+        assert O.random_instance("compact1d", 1, budget=budget).budget == budget
 
 
 def test_splitmix_is_stable():

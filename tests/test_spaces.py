@@ -51,6 +51,8 @@ def test_set_distance():
     # first in input order, not nearest
     assert O.first_within(z, (0,), [(9,), (3,), (1,)], 4) == (3,)
     assert O.first_within(z, (0,), [(9,), (3,)], O.INF) == (9,)
+    with pytest.raises(InvalidInputError, match="0.5"):  # INF is the only float
+        O.first_within(z, (0,), [(5,), (9,)], 0.5)
     scaled = O.ScaledSpace(z, Fraction(3, 2))  # d((0,), (2,)) == 3
     assert O.first_within(scaled, (0,), [(2,)], 3) is None
     assert O.first_within(scaled, (0,), [(2,)], Fraction(7, 2)) == (2,)
