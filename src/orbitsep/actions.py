@@ -196,6 +196,58 @@ def _json_array(obj, key):
     return value
 
 
+_NO_LETTER = object()  # equal to no letter, so the first letter opens a run
+
+
+def _run_fold(step, doc=None):
+    """A method ``(self, w, acc)`` that sets ``acc = step(acc, gen, k)`` for
+    each maximal run of one letter in w, rightmost first, with ``gen`` the
+    generator the letter names and ``k`` the signed run length, and returns
+    the last ``acc``.
+
+    This is the one place a word is split into runs and its letters are
+    checked: a letter that names no generator raises InvalidInputError.
+    Generators are read from ``generators``, so a replaced one is the one
+    applied.  ``apply_word`` is such a method itself, not a call to one, so
+    applying a word to one point costs no extra call.
+    """
+
+    def fold(self, w, acc):
+        generators = self.generators
+        n = len(generators)
+        run, k = _NO_LETTER, 0
+        for s in reversed(w):
+            if s == run:
+                k += 1
+                continue
+            if k:
+                acc = step(acc, generators[abs(run) - 1], k if run > 0 else -k)
+            if type(s) is not int or not 0 < abs(s) <= n:
+                raise InvalidInputError(f"generator index {s!r} out of range")
+            run, k = s, 1
+        if k:
+            acc = step(acc, generators[abs(run) - 1], k if run > 0 else -k)
+        return acc
+
+    fold.__doc__ = doc
+    return fold
+
+
+def _apply_power(p, gen, k):
+    """gen^k applied to p: one ``forward``/``backward`` call for k = +-1, one
+    ``power`` call otherwise."""
+    if k == 1:
+        return gen.forward(p)
+    if k == -1:
+        return gen.backward(p)
+    return gen.power(p, k)
+
+
+def _append_power(out, gen, k):
+    out.append((gen, k))
+    return out
+
+
 class GeneratedAction:
     """A metric space together with a finite generator list.
 
@@ -240,40 +292,27 @@ class GeneratedAction:
             for s in (i, -i)
         ]
 
-    def apply_word(self, w, p):
-        """Apply a word to a point, rightmost letter first.
+    apply_word = _run_fold(
+        _apply_power,
+        "Apply a word to a point, rightmost letter first, one power per run.",
+    )
+    _collect_powers = _run_fold(_append_power)
 
-        Each maximal run of one letter is applied as one generator power; a
-        run of length 1 is one ``forward``/``backward`` call.  Generators are
-        read from ``generators``, so a replaced one is the one applied.
-        """
-        generators = self.generators
-        n = len(generators)
-        run, k = _NO_LETTER, 0
-        for s in reversed(w):
-            if s == run:
-                k += 1
-                continue
-            if k:
-                p = _apply_run(generators, run, k, p)
-            if type(s) is not int or not 0 < abs(s) <= n:
-                raise InvalidInputError(f"generator index {s!r} out of range")
-            run, k = s, 1
-        return _apply_run(generators, run, k, p) if k else p
+    def powers(self, w):
+        """The word as generator powers ``[(gen, k)]``, rightmost first: one
+        per maximal run of one letter, ``k`` the signed run length."""
+        return self._collect_powers(w, [])
 
     def generators_to_json(self):
         return [g.to_json() for g in self.generators]
 
 
-_NO_LETTER = object()  # equal to no letter, so the first letter opens a run
-
-
-def _apply_run(generators, s, k, p):
-    """Apply signed generator s, k >= 1 times in a row, to p."""
-    gen = generators[abs(s) - 1]
-    if k == 1:
-        return gen.forward(p) if s > 0 else gen.backward(p)
-    return gen.power(p, k if s > 0 else -k)
+def apply_powers(powers, p):
+    """Apply ``GeneratedAction.powers(w)`` to p, so a word that moves many
+    points is split into runs once."""
+    for gen, k in powers:
+        p = _apply_power(p, gen, k)
+    return p
 
 
 @dataclass(frozen=True)

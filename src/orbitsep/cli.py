@@ -273,7 +273,7 @@ def _cmd_verify(doc, args):
     ]
     metric_violations = validate_metric(space, triples)
     isometry_violations = []
-    if doc.obj.get("generators"):
+    if "generators" in doc.obj:  # only a missing key means "metric only"
         pairs = [
             (sample_point(space, rng), sample_point(space, rng))
             for _ in range(args.samples)

@@ -23,12 +23,14 @@ Every certificate carries the per-point achieved distances and the full
 recursion trace, and is re-checked exactly before being returned.
 """
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .actions import (
     DEFAULT_BUDGET,
+    apply_powers,
     find_escape,
     max_step_displacement,
     orbit_stream,
@@ -94,15 +96,25 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     """Bounded detection of Q-points whose radius-ball meets the pivot orbit.
 
     Scans the budgeted orbit once, returning the first witness word per
-    detected point, keyed in Q order.  With D the largest displacement of
-    the pivot by one signed generator, an orbit point reached by a word of
-    length k lies within k * D of the pivot (generators are isometries), so
-    it can only come within the radius of y when d(pivot, y) < radius + k * D.
-    Each y is therefore compared only against orbit points whose word is at
-    least that smallest k long, and skipped outright when that k exceeds
-    max_word_length (or D is 0 and y lies outside the radius).  Missing a
-    true member here is sound: the caller repairs it by restarting with the
-    witness it stumbled on.
+    detected point, keyed in Q order.  Two consequences of the triangle
+    inequality (generators are isometries) keep the scan from comparing
+    pairs that cannot meet:
+
+    * Horizon.  With D the largest displacement of the pivot by one signed
+      generator, an orbit point reached by a word of length k lies within
+      k * D of the pivot, so it can only come within the radius of y when
+      d(pivot, y) < radius + k * D.  Each y joins the scan at the first
+      word length k where that holds, and is skipped outright when that k
+      exceeds max_word_length (or D is 0 and y lies outside the radius).
+    * Shells.  The joined Q-points are filed by d(pivot, y).  Since
+      d(x, y) >= |d(pivot, x) - d(pivot, y)|, an orbit point x is compared
+      only with the shells less than the radius away from d(pivot, x).
+      While a single Q-point is left, it is compared directly.
+
+    Both prunings are exact, so every witness is the first in BFS order, as
+    a test of every pair would find it.  Missing a true member here is
+    sound: the caller repairs it by restarting with the witness it stumbled
+    on.
     """
     found = {}
     if not q_points:
@@ -111,9 +123,10 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     rf = Fraction(radius)
     rn, rd = rf.numerator, rf.denominator
     reach = max_step_displacement(action, pivot)
-    pending = {}  # first useful word length -> Q-points, in Q order
+    pending = {}  # first useful word length -> [(shell key, Q-point)]
     for y in q_points:
-        gap = space.distance(pivot, y) - rf
+        dy = space.distance(pivot, y)
+        gap = dy - rf
         if gap < 0:
             k = 0
         elif reach == 0:
@@ -121,22 +134,43 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
         else:
             k = gap // reach + 1
         if k <= budget.max_word_length:
-            pending.setdefault(k, []).append(y)
+            pending.setdefault(k, []).append((dy * rd, y))
     if not pending:
         return found
-    active = pending.pop(0, [])
-    length = 0
+    # Shell keys are d(pivot, y) * rd, so the shells within the radius of x
+    # are the keys strictly between d(pivot, x) * rd - rn and ... + rn.
+    shells = {}  # key -> Q-points not yet found at that distance
+    keys = []  # the keys of shells, ascending
+    active = 0
+    length = -1
     for x, w in orbit_stream(action, pivot, budget, stats):
         while len(w) > length:
             length += 1
-            active += pending.pop(length, ())
-        still = []
-        for y in active:
+            for key, y in pending.pop(length, ()):
+                if key not in shells:
+                    insort(keys, key)
+                    shells[key] = []
+                shells[key].append(y)
+                active += 1
+        if active == 1:  # one Q-point left: test it without d(pivot, x)
+            (y,) = shells[keys[0]]
             if space.distance(x, y) * rd < rn:
                 found[y] = w
-            else:
-                still.append(y)
-        active = still
+                shells.clear()
+                keys.clear()
+                active = 0
+        elif active:
+            t = space.distance(pivot, x) * rd
+            for key in keys[bisect_right(keys, t - rn) : bisect_left(keys, t + rn)]:
+                shell = shells[key]
+                for y in tuple(shell):
+                    if space.distance(x, y) * rd < rn:
+                        found[y] = w
+                        shell.remove(y)
+                        active -= 1
+                if not shell:
+                    del shells[key]
+                    keys.remove(key)
         if not active and not pending:
             break
     return {y: found[y] for y in q_points if y in found}
@@ -146,10 +180,10 @@ def _enlarge(action, q_points, q0, a):
     """Q' = Q plus the (g_y ∘ a^-1)-images of Q, deduplicated in order."""
     seen = dict.fromkeys(q_points)
     a_inv = invert(a)
-    for _, g_y in q0.items():
-        shift = compose(g_y, a_inv)
+    for g_y in q0.values():
+        shift = action.powers(compose(g_y, a_inv))
         for q in q_points:
-            seen.setdefault(action.apply_word(shift, q))
+            seen.setdefault(apply_powers(shift, q))
     return list(seen)
 
 

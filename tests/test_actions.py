@@ -146,6 +146,8 @@ def test_bad_letter_after_a_run_raises(zd2_action, letter):
     ]:
         with pytest.raises(InvalidInputError):
             zd2_action.apply_word(w, (0, 0))
+        with pytest.raises(InvalidInputError):
+            zd2_action.powers(w)
 
 
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(

@@ -312,6 +312,19 @@ def _trace(**fields):
     return _cert(trace={**Z1_CERT_DOC["trace"], **fields})
 
 
+VERIFY_C4_BAD = json.loads(pathlib.Path(instance_path("verify_c4_bad.json")).read_text())
+RESTART = json.loads(pathlib.Path(instance_path("restart.json")).read_text())
+
+
+def _restart_cert_with_witness(witness):
+    """restart's golden certificate with its first Q0 witness replaced."""
+    cert = json.loads(
+        (pathlib.Path(Z1_CERT).parent / "restart.out").read_text(encoding="utf-8")
+    )
+    cert["trace"]["q0"][0]["witness"] = witness
+    return cert
+
+
 def _probe(name, command, doc, *extra, message):
     """One malformed run: ``doc`` is written to --in, as is when it is a
     string, as JSON otherwise (None: --in is a directory); in ``extra`` a None
@@ -465,6 +478,30 @@ def _probe(name, command, doc, *extra, message):
             "separate",
             "[" * 100000 + "]" * 100000,
             message="bad JSON",
+        ),
+        *(
+            _probe(
+                f"verify-generators-{name}",
+                "verify",
+                {**VERIFY_C4_BAD, "generators": value},
+                message=message,
+            )
+            for name, value, message in [
+                ("object", {}, "generators must be a JSON array"),
+                ("null", None, "generators must be a JSON array"),
+                ("zero", 0, "generators must be a JSON array"),
+                ("false", False, "generators must be a JSON array"),
+                ("empty-string", "", "generators must be a JSON array"),
+                ("empty", [], "generator list must be nonempty"),
+            ]
+        ),
+        _probe(
+            "q0-witness-letter-out-of-range",
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert_with_witness([1, 1, 9, -1]),
+            message="generator index 9 out of range",
         ),
         _probe(
             "graph-with-too-few-edges",

@@ -2,6 +2,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitsep as O
 from orbitsep.errors import (
@@ -9,7 +11,8 @@ from orbitsep.errors import (
     InvalidInputError,
     TraceReplayError,
 )
-from orbitsep.separation import _detect_q0
+from orbitsep import separation as sep
+from orbitsep.separation import _detect_q0, _enlarge
 
 Z_FALLBACK = {
     "P": [((0,), 3), ((50,), 3)],
@@ -424,6 +427,12 @@ def _q0_actions():
     z2 = [O.Translation((1, 0)), O.Translation((0, 1)), O.Translation((2, -1))]
     z1 = [O.Translation((1,))]
     path3 = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, "1/2"]])
+    # A 12-cycle whose edges alternate weights 1 and 1/2, turned by two steps
+    # and reflected through the edge 0-1: distances from a vertex repeat, so
+    # several Q-points share one shell.
+    halves = O.FiniteGraphSpace(
+        12, [[i, (i + 1) % 12, "1/2" if i % 2 else 1] for i in range(12)]
+    )
     return {
         "zd_l1": (O.ZdSpace(2, "l1"), z2),
         "zd_linf": (O.ZdSpace(2, "linf"), z2),
@@ -433,23 +442,31 @@ def _q0_actions():
             O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]),
             [O.VertexPermutation((1, 2, 3, 0))],
         ),
-        "scaled": (O.ScaledSpace(O.ZdSpace(1, "l1"), "3/2"), z1),  # D = 3/2
+        "scaled": (O.ScaledSpace(O.ZdSpace(2, "l1"), "3/2"), z2),  # D = 9/2
         "discrete": (O.DiscreteAdapterSpace(O.ZdSpace(1, "l1")), z1),
         # The reflection fixes the middle vertex: D = 0 for pivot 1.
         "fixed_pivot": (path3, [O.VertexPermutation((2, 1, 0))]),
+        "graph_halves": (
+            halves,
+            [
+                O.VertexPermutation([(i + 2) % 12 for i in range(12)]),
+                O.VertexPermutation([(1 - i) % 12 for i in range(12)]),
+            ],
+        ),
     }
 
 
 @pytest.mark.parametrize("kind", sorted(_q0_actions()))
 def test_detect_q0_matches_full_scan(kind):
+    """Free(2) pivots up to 6 letters, up to 16 Q-points, Fraction shells."""
     space, gens = _q0_actions()[kind]
     action = O.GeneratedAction(space, gens)
     rng = O.SplitMix64(sum(map(ord, kind)))
-    sample = lambda: O.sample_point(space, rng, coord_max=8, word_max=4)
+    sample = lambda: O.sample_point(space, rng, coord_max=8, word_max=6)
     budgets = [O.OrbitBudget(6, 8), O.OrbitBudget(40, 3), O.OrbitBudget(2000, 6)]
     for case in range(40):
         pivot = 1 if kind == "fixed_pivot" else sample()
-        q_points = list(dict.fromkeys(sample() for _ in range(1 + rng.below(8))))
+        q_points = list(dict.fromkeys(sample() for _ in range(1 + rng.below(16))))
         radius = Fraction(1 + rng.below(12), 1 + rng.below(3))
         budget = budgets[case % len(budgets)]
         expected = _full_scan_q0(action, pivot, q_points, radius, budget)
@@ -459,3 +476,120 @@ def test_detect_q0_matches_full_scan(kind):
     if kind == "fixed_pivot":
         assert O.max_step_displacement(action, 1) == 0
         assert _detect_q0(action, 1, [0, 1, 2], Fraction(1, 2), budgets[2]) == {1: ()}
+
+
+_free_points = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(O.reduce_word)
+_Q0_PROPERTY_KINDS = {
+    "free2": (_q0_actions()["free2"], _free_points),
+    "zd_linf": (_q0_actions()["zd_linf"], st.tuples(st.integers(-8, 8), st.integers(-8, 8))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_Q0_PROPERTY_KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_detect_q0_property(kind, data):
+    (space, gens), points = _Q0_PROPERTY_KINDS[kind]
+    action = O.GeneratedAction(space, gens)
+    pivot = data.draw(points)
+    q_points = data.draw(st.lists(points, min_size=1, max_size=16, unique=True))
+    radius = Fraction(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3)))
+    budget = data.draw(st.sampled_from([O.OrbitBudget(40, 3), O.OrbitBudget(400, 5)]))
+    got = _detect_q0(action, pivot, q_points, radius, budget)
+    expected = _full_scan_q0(action, pivot, q_points, radius, budget)
+    assert list(got.items()) == list(expected.items())
+
+
+class _CountingFreeSpace(O.FreeSpace):
+    def __init__(self, rank):
+        super().__init__(rank)
+        self.calls = 0
+
+    def distance(self, p, q):
+        self.calls += 1
+        return super().distance(p, q)
+
+
+def _per_pair_distance_calls(action, pivot, q_points, radius, budget):
+    """Distance calls of the scan without shells: the horizon, then every
+    joined, not yet found Q-point against every orbit point."""
+    space = action.space
+    reach = O.max_step_displacement(action, pivot)
+    calls = len(action.moves()) + len(q_points)
+    joins = {}  # Q-point -> the word length from which it is compared
+    for y in q_points:
+        gap = space.distance(pivot, y) - radius
+        if gap < 0:
+            joins[y] = 0
+        elif reach and gap // reach + 1 <= budget.max_word_length:
+            joins[y] = gap // reach + 1
+    if not joins:
+        return calls
+    for x, w in O.orbit_stream(action, pivot, budget):
+        for y in [y for y, k in joins.items() if k <= len(w)]:
+            calls += 1
+            if space.distance(x, y) < radius:
+                del joins[y]
+        if not joins:
+            break
+    return calls
+
+
+def test_detect_q0_distance_calls_on_free2_sequence(monkeypatch):
+    """The shells cut the distance calls of the Q0 scans that placing six
+    copies of criterion 5's free(2) tuple runs: pinned, and 8x below the
+    per-pair count of the same scans."""
+    space = _CountingFreeSpace(2)
+    action = O.GeneratedAction(
+        space, [O.LeftMultiplication((1,)), O.LeftMultiplication((2,))]
+    )
+    scans = []
+
+    def counted_scan(action, pivot, q_points, radius, budget, stats=None):
+        before = space.calls
+        found = _detect_q0(action, pivot, q_points, radius, budget, stats)
+        scans.append(((pivot, list(q_points), radius, budget), space.calls - before))
+        return found
+
+    monkeypatch.setattr(sep, "_detect_q0", counted_scan)
+    O.separated_sequence(action, [(), (1,), (2, 1)], 1, 6, O.OrbitBudget(4000, 16))
+    calls = sum(n for _, n in scans)
+    per_pair = sum(_per_pair_distance_calls(action, *args) for args, _ in scans)
+    assert (len(scans), calls, per_pair) == (10, 165252, 1364577)
+    assert 8 * calls < per_pair
+
+
+def _letter_fold(action, w, p):
+    """apply_word one letter at a time, rightmost first."""
+    for s in reversed(w):
+        p = action.apply_word((s,), p)
+    return p
+
+
+def _runs_word(rng, n):
+    """Up to 5 runs of one signed letter each, 1 to 4 long."""
+    word = ()
+    for _ in range(rng.below(6)):
+        letter = (1 + rng.below(n)) * (1 if rng.below(2) else -1)
+        word += (letter,) * (1 + rng.below(4))
+    return word
+
+
+@pytest.mark.parametrize("kind", sorted(_q0_actions()))
+def test_enlarge_matches_apply_word_fold(kind):
+    space, gens = _q0_actions()[kind]
+    action = O.GeneratedAction(space, gens)
+    n = len(gens)
+    rng = O.SplitMix64(sum(map(ord, kind)) + 1)
+    for _ in range(20):
+        q_points = list(
+            dict.fromkeys(O.sample_point(space, rng, coord_max=8) for _ in range(6))
+        )
+        a = _runs_word(rng, n)
+        q0 = {y: _runs_word(rng, n) for y in q_points if rng.below(2)}
+        expected = dict.fromkeys(q_points)
+        for g_y in q0.values():
+            shift = O.compose(g_y, O.invert(a))
+            for q in q_points:
+                expected.setdefault(_letter_fold(action, shift, q))
+        assert _enlarge(action, q_points, q0, a) == list(expected)
