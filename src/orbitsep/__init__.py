@@ -19,7 +19,6 @@ from .actions import (
     VertexPermutation,
     find_escape,
     generator_from_json,
-    max_step_displacement,
     orbit_stream,
     separated_family,
     verify_isometry,

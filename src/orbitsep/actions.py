@@ -217,13 +217,15 @@ def _run_fold(step, doc=None):
         n = len(generators)
         run, k = _NO_LETTER, 0
         for s in reversed(w):
-            if s == run:
+            # ``is`` passes the very object checked when the run opened;
+            # True and 1.0 also equal 1, so an equal letter must be an int.
+            if s is run or s == run and type(s) is int:
                 k += 1
                 continue
-            if k:
-                acc = step(acc, generators[abs(run) - 1], k if run > 0 else -k)
             if type(s) is not int or not 0 < abs(s) <= n:
                 raise InvalidInputError(f"generator index {s!r} out of range")
+            if k:
+                acc = step(acc, generators[abs(run) - 1], k if run > 0 else -k)
             run, k = s, 1
         if k:
             acc = step(acc, generators[abs(run) - 1], k if run > 0 else -k)
@@ -430,16 +432,6 @@ def separated_family(action, p, eps, n, budget=DEFAULT_BUDGET, stats=None):
         f"after exploring {explored}",
         explored=explored,
     )
-
-
-def max_step_displacement(action, p):
-    """max over signed generators s of d(p, s.p).
-
-    Since generators are isometries, d(p, w.p) <= len(w) * this value; orbit
-    searches use it to discard targets that no in-budget word can approach.
-    """
-    space = action.space
-    return max(space.distance(p, move(p)) for _, move in action.moves())
 
 
 class IsometryViolation:

@@ -23,7 +23,7 @@ Every certificate carries the per-point achieved distances and the full
 recursion trace, and is re-checked exactly before being returned.
 """
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -32,7 +32,6 @@ from .actions import (
     DEFAULT_BUDGET,
     apply_powers,
     find_escape,
-    max_step_displacement,
     orbit_stream,
 )
 from .errors import BudgetExhaustedError, InvalidInputError, TraceReplayError
@@ -96,82 +95,59 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     """Bounded detection of Q-points whose radius-ball meets the pivot orbit.
 
     Scans the budgeted orbit once, returning the first witness word per
-    detected point, keyed in Q order.  Two consequences of the triangle
-    inequality (generators are isometries) keep the scan from comparing
-    pairs that cannot meet:
+    detected point, keyed in Q order.  The Q-points are kept in one list
+    sorted by d(pivot, y) and dropped when found; the scan stops when the
+    list is empty.  Two consequences of the triangle inequality (generators
+    are isometries) keep it from comparing pairs that cannot meet:
 
     * Horizon.  With D the largest displacement of the pivot by one signed
       generator, an orbit point reached by a word of length k lies within
-      k * D of the pivot, so it can only come within the radius of y when
-      d(pivot, y) < radius + k * D.  Each y joins the scan at the first
-      word length k where that holds, and is skipped outright when that k
-      exceeds max_word_length (or D is 0 and y lies outside the radius).
-    * Shells.  The joined Q-points are filed by d(pivot, y).  Since
-      d(x, y) >= |d(pivot, x) - d(pivot, y)|, an orbit point x is compared
-      only with the shells less than the radius away from d(pivot, x).
-      While a single Q-point is left, it is compared directly.
+      k * D of the pivot, so y joins the scan at the first k with
+      d(pivot, y) < radius + k * D; a y that joins after max_word_length is
+      never kept.  The joined points are therefore a prefix of the list.
+    * Window.  Since d(x, y) >= |d(pivot, x) - d(pivot, y)|, an orbit point
+      x is compared only with the points less than the radius away from
+      d(pivot, x), found by bisection; the window lies inside the joined
+      prefix.  While one point has joined, it is compared directly.
 
     Both prunings are exact, so every witness is the first in BFS order, as
     a test of every pair would find it.  Missing a true member here is
     sound: the caller repairs it by restarting with the witness it stumbled
     on.
     """
-    found = {}
     if not q_points:
-        return found
+        return {}
     space = action.space
     rf = Fraction(radius)
     rn, rd = rf.numerator, rf.denominator
-    reach = max_step_displacement(action, pivot)
-    pending = {}  # first useful word length -> [(shell key, Q-point)]
-    for y in q_points:
-        dy = space.distance(pivot, y)
-        gap = dy - rf
-        if gap < 0:
-            k = 0
-        elif reach == 0:
-            continue
-        else:
-            k = gap // reach + 1
-        if k <= budget.max_word_length:
-            pending.setdefault(k, []).append((dy * rd, y))
-    if not pending:
-        return found
-    # Shell keys are d(pivot, y) * rd, so the shells within the radius of x
-    # are the keys strictly between d(pivot, x) * rd - rn and ... + rn.
-    shells = {}  # key -> Q-points not yet found at that distance
-    keys = []  # the keys of shells, ascending
-    active = 0
-    length = -1
+    # Keys are distances times rd, so the radius reads rn and D reads step.
+    step = max(space.distance(pivot, move(pivot)) for _, move in action.moves()) * rd
+    reach = rn + budget.max_word_length * step
+    keyed = sorted((space.distance(pivot, y) * rd, i) for i, y in enumerate(q_points))
+    keys = [key for key, _ in keyed if key < reach]
+    if not keys:
+        return {}
+    ys = [q_points[i] for _, i in keyed[: len(keys)]]
+    found = {}
+    length = joined = None
     for x, w in orbit_stream(action, pivot, budget, stats):
-        while len(w) > length:
-            length += 1
-            for key, y in pending.pop(length, ()):
-                if key not in shells:
-                    insort(keys, key)
-                    shells[key] = []
-                shells[key].append(y)
-                active += 1
-        if active == 1:  # one Q-point left: test it without d(pivot, x)
-            (y,) = shells[keys[0]]
-            if space.distance(x, y) * rd < rn:
-                found[y] = w
-                shells.clear()
-                keys.clear()
-                active = 0
-        elif active:
+        if len(w) != length:
+            length = len(w)
+            joined = rn + length * step  # keys below it have joined
+        if keys[0] >= joined:
+            continue
+        if len(keys) == 1 or keys[1] >= joined:
+            if space.distance(x, ys[0]) * rd < rn:
+                found[ys[0]] = w
+                del keys[0], ys[0]
+        else:
             t = space.distance(pivot, x) * rd
-            for key in keys[bisect_right(keys, t - rn) : bisect_left(keys, t + rn)]:
-                shell = shells[key]
-                for y in tuple(shell):
-                    if space.distance(x, y) * rd < rn:
-                        found[y] = w
-                        shell.remove(y)
-                        active -= 1
-                if not shell:
-                    del shells[key]
-                    keys.remove(key)
-        if not active and not pending:
+            lo = bisect_right(keys, t - rn)
+            for i in reversed(range(lo, bisect_left(keys, t + rn, lo))):
+                if space.distance(x, ys[i]) * rd < rn:
+                    found[ys[i]] = w
+                    del keys[i], ys[i]
+        if not keys:
             break
     return {y: found[y] for y in q_points if y in found}
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitsep as O
-from orbitsep.actions import max_step_displacement
 from orbitsep.errors import BudgetExhaustedError, InvalidInputError
 from orbitsep.words import is_reduced
 
@@ -148,6 +147,24 @@ def test_bad_letter_after_a_run_raises(zd2_action, letter):
             zd2_action.apply_word(w, (0, 0))
         with pytest.raises(InvalidInputError):
             zd2_action.powers(w)
+
+
+@pytest.mark.parametrize("word", [(True, 1), (1.0, 1), (1, True)])
+def test_letter_equal_to_the_run_before_it_must_be_an_int(z1_action, word):
+    """True and 1.0 equal the letter 1 but are not generator indices."""
+    with pytest.raises(InvalidInputError):
+        z1_action.apply_word(word, (0,))
+    with pytest.raises(InvalidInputError):
+        z1_action.powers(word)
+
+
+def test_equal_letters_form_one_run_whatever_their_identity():
+    """Letters past CPython's small-int cache are equal but distinct objects."""
+    act = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))] * 300)
+    w = tuple(int("300") for _ in range(3))
+    assert len({id(s) for s in w}) == 3
+    assert act.powers(w) == [(act.generators[299], 3)]
+    assert act.apply_word(w, (0,)) == (3,)
 
 
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
@@ -324,9 +341,3 @@ def test_generator_json_roundtrip():
         assert O.generator_from_json(spec).to_json() == spec
     with pytest.raises(InvalidInputError):
         O.generator_from_json({"kind": "rotation"})
-
-
-def test_max_step_displacement(free2_action):
-    # left multiplication moves the identity by 1 and long words by up to 2L+1
-    assert max_step_displacement(free2_action, ()) == 1
-    assert max_step_displacement(free2_action, (2, 2)) == 5

@@ -343,6 +343,21 @@ def test_differential_check_flags_corrupted_certificate():
     assert payload["instance"]["kind"] == "zd2"
 
 
+def test_differential_check_reports_a_low_stored_ratio_once():
+    """A stored ratio of 1/4 is one fault: check_certificate's problems are
+    the report's problems, with no second ratio test on top."""
+    inst = O.random_instance("zd2", 1)
+    act = inst.action()
+    cert = O.separate_points(act, inst.weighted_p, inst.q_points, inst.budget)
+    tampered = O.SeparationCertificate(
+        cert.word, cert.achieved, Fraction(1, 4), cert.trace
+    )
+    report = O.differential_check(inst, certificate=tampered)
+    assert report.status == "mismatch"
+    problems = O.check_certificate(act, inst.weighted_p, inst.q_points, tampered)
+    assert problems and report.problems == problems
+
+
 def test_differential_check_budget_exhaustion_is_not_mismatch():
     inst = O.random_instance("c4", 0)
     report = O.differential_check(inst)

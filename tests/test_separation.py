@@ -412,7 +412,7 @@ def test_checker_shares_no_search_code(checker):
 def _full_scan_q0(action, pivot, q_points, radius, budget):
     """Every Q-point within the fixed horizon against every orbit point."""
     space = action.space
-    step = O.max_step_displacement(action, pivot)
+    step = max(space.distance(pivot, move(pivot)) for _, move in action.moves())
     horizon = radius + budget.max_word_length * step
     candidates = [y for y in q_points if space.distance(pivot, y) < horizon]
     found = {}
@@ -474,7 +474,7 @@ def test_detect_q0_matches_full_scan(kind):
         assert got == expected
         assert list(got) == list(expected)  # Q order
     if kind == "fixed_pivot":
-        assert O.max_step_displacement(action, 1) == 0
+        assert all(move(1) == 1 for _, move in action.moves())  # D = 0
         assert _detect_q0(action, 1, [0, 1, 2], Fraction(1, 2), budgets[2]) == {1: ()}
 
 
@@ -511,10 +511,11 @@ class _CountingFreeSpace(O.FreeSpace):
 
 
 def _per_pair_distance_calls(action, pivot, q_points, radius, budget):
-    """Distance calls of the scan without shells: the horizon, then every
-    joined, not yet found Q-point against every orbit point."""
+    """Distance calls of the scan without the pivot-distance window: the
+    horizon, then every joined, not yet found Q-point against every orbit
+    point."""
     space = action.space
-    reach = O.max_step_displacement(action, pivot)
+    reach = max(space.distance(pivot, move(pivot)) for _, move in action.moves())
     calls = len(action.moves()) + len(q_points)
     joins = {}  # Q-point -> the word length from which it is compared
     for y in q_points:
@@ -536,9 +537,9 @@ def _per_pair_distance_calls(action, pivot, q_points, radius, budget):
 
 
 def test_detect_q0_distance_calls_on_free2_sequence(monkeypatch):
-    """The shells cut the distance calls of the Q0 scans that placing six
-    copies of criterion 5's free(2) tuple runs: pinned, and 8x below the
-    per-pair count of the same scans."""
+    """The pivot-distance window cuts the distance calls of the Q0 scans
+    that placing six copies of criterion 5's free(2) tuple runs: pinned, and
+    8x below the per-pair count of the same scans."""
     space = _CountingFreeSpace(2)
     action = O.GeneratedAction(
         space, [O.LeftMultiplication((1,)), O.LeftMultiplication((2,))]
@@ -557,6 +558,56 @@ def test_detect_q0_distance_calls_on_free2_sequence(monkeypatch):
     per_pair = sum(_per_pair_distance_calls(action, *args) for args, _ in scans)
     assert (len(scans), calls, per_pair) == (10, 165252, 1364577)
     assert 8 * calls < per_pair
+
+
+def test_detect_q0_distance_calls_on_zd2_pool(monkeypatch):
+    """The Q0 scans of 60 seeded zd2 instances with |P| >= 2, the benchmark
+    pool's common case: scans, distance calls and orbit points pinned."""
+    distance = O.ZdSpace.distance
+    calls = [0]
+
+    def counted_distance(self, p, q):
+        calls[0] += 1
+        return distance(self, p, q)
+
+    totals = [0, 0, 0]  # scans, distance calls, orbit points
+
+    def counted_scan(action, pivot, q_points, radius, budget, stats=None):
+        local = O.SearchStats()
+        before = calls[0]
+        found = _detect_q0(action, pivot, q_points, radius, budget, local)
+        totals[0] += 1
+        totals[1] += calls[0] - before
+        totals[2] += local.points
+        return found
+
+    monkeypatch.setattr(O.ZdSpace, "distance", counted_distance)
+    monkeypatch.setattr(sep, "_detect_q0", counted_scan)
+    master = O.SplitMix64(42)
+    solved = 0
+    while solved < 60:
+        inst = O.random_instance("zd2", master.next_u64())
+        if len(inst.weighted_p) < 2:
+            continue
+        solved += 1
+        O.separate_points(inst.action(), inst.weighted_p, inst.q_points, inst.budget)
+    assert totals == [114, 55163, 82870]
+
+
+def test_detect_q0_walks_no_orbit_point_without_a_q_point_in_reach():
+    """Q-points at d(pivot, y) >= radius + max_word_length * D never join."""
+    z1 = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))])
+    space, gens = _q0_actions()["fixed_pivot"]
+    fixed = O.GeneratedAction(space, gens)  # D = 0 for pivot 1
+    budget = O.OrbitBudget(100, 8)
+    for action, pivot, q_points, radius in [
+        (z1, (0,), [(9,), (-9,), (12,)], 1),
+        (fixed, 1, [0, 2], Fraction(1, 2)),
+        (z1, (0,), [], 1),
+    ]:
+        stats = O.SearchStats()
+        assert _detect_q0(action, pivot, q_points, radius, budget, stats) == {}
+        assert stats.points == 0
 
 
 def _letter_fold(action, w, p):
