@@ -26,6 +26,7 @@ from .actions import (
 from .errors import (
     BudgetExhaustedError,
     InvalidInputError,
+    NotIsometricError,
     OrbitsepError,
     TraceReplayError,
 )
@@ -39,7 +40,6 @@ from .oracle import (
     random_instance,
     ratio_experiment,
     sample_point,
-    word_image,
 )
 from .rationals import INF, format_rational, is_inf, parse_rational
 from .separation import (
@@ -66,12 +66,9 @@ from .spaces import (
     FreeSpace,
     ScaledSpace,
     ZdSpace,
-    distance,
     distance_to_set,
     first_within,
     greedy_epsilon_net,
-    in_open_ball,
-    set_distance,
     space_from_json,
     validate_metric,
     word_from_string,

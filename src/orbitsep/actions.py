@@ -270,16 +270,11 @@ class GeneratedAction:
         self.space = space
         self.generators = generators
 
-    def signed_order(self):
-        """Signed generator indices in expansion order: +1, -1, +2, -2, ..."""
-        return [s for s, _ in self.moves()]
-
     def step(self, s, p):
         """Apply one signed generator to a point."""
-        i = abs(s)
-        if s == 0 or i > len(self.generators):
-            raise InvalidInputError(f"generator index {s} out of range")
-        gen = self.generators[i - 1]
+        if type(s) is not int or not 0 < abs(s) <= len(self.generators):
+            raise InvalidInputError(f"generator index {s!r} out of range")
+        gen = self.generators[abs(s) - 1]
         return gen.forward(p) if s > 0 else gen.backward(p)
 
     def moves(self):
@@ -470,7 +465,7 @@ def verify_isometry(action, pairs=()):
 
     def check_pair(x, y):
         dxy = space.distance(x, y)
-        for s in action.signed_order():
+        for s, _ in action.moves():
             moved = space.distance(action.step(s, x), action.step(s, y))
             if moved != dxy:
                 violations.append(

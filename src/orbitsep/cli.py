@@ -22,7 +22,9 @@ from .actions import (
     orbit_stream,
     verify_isometry,
 )
-from .errors import BudgetExhaustedError, InvalidInputError, OrbitsepError
+from .errors import (
+    BudgetExhaustedError, InvalidInputError, NotIsometricError, OrbitsepError
+)
 from .oracle import (
     INSTANCE_KINDS,
     InstanceSpec,
@@ -32,7 +34,7 @@ from .oracle import (
     ratio_experiment,
     sample_point,
 )
-from .rationals import check_positive, format_rational, parse_rational
+from .rationals import check_int, check_positive, format_rational, parse_rational
 from .separation import (
     certificate_from_json,
     certificate_to_json,
@@ -261,6 +263,7 @@ def _cmd_net(doc, args):
 
 
 def _cmd_verify(doc, args):
+    check_int(args.samples, "samples", 0)
     space = doc.space
     rng = SplitMix64(args.seed)
     triples = [
@@ -416,6 +419,9 @@ def main(argv=None):
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except NotIsometricError as exc:
+        print(f"isometry violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except RecursionError:  # the solver recurses once per point of P
         print("unknown: instance too large for the recursion limit", file=sys.stderr)
         return EXIT_BUDGET

@@ -26,5 +26,10 @@ class BudgetExhaustedError(OrbitsepError):
         self.partial_levels = []
 
 
+class NotIsometricError(OrbitsepError):
+    """A result whose proof assumes isometric generators failed its check,
+    so some generator does not preserve distances."""
+
+
 class TraceReplayError(OrbitsepError):
     """A recorded separation trace is inconsistent with its instance."""

@@ -76,12 +76,8 @@ class OracleVerdict:
 
     def contains_word(self, action, weighted, word):
         """True iff the word's image tuple is among the valid images."""
-        image = word_image(action, weighted, word)
+        image = tuple(action.apply_word(word, p) for p, _ in weighted)
         return image in self.valid_images
-
-
-def word_image(action, weighted, word):
-    return tuple(action.apply_word(word, p) for p, _ in weighted)
 
 
 def brute_force_separate(action, weighted, q_points, max_word_length, stats=None):
@@ -322,10 +318,6 @@ class DifferentialReport:
     certificate: object = None
     verdict: Optional[OracleVerdict] = None
     explored: int = 0
-
-    @property
-    def mismatch(self):
-        return self.status == "mismatch"
 
     def to_json(self):
         space = self.instance.space

@@ -14,11 +14,10 @@ Built-in spaces:
 * ``discrete`` — any inner space re-equipped with the 0/1 discrete metric.
 
 Distances are ints or Fractions, never floats; the only non-finite value is
-the ``INF`` sentinel returned by ``distance_to_set`` and ``set_distance`` on
-an empty side.  Every operation here is a pure function of its arguments, and
-a space's only mutable state is a graph's cache of distance rows, whose
-entries never change once computed, so spaces are safe to share between
-threads.
+the ``INF`` sentinel returned by ``distance_to_set`` on an empty set.  Every
+operation here is a pure function of its arguments, and a space's only
+mutable state is a graph's cache of distance rows, whose entries never
+change once computed, so spaces are safe to share between threads.
 """
 
 from fractions import Fraction
@@ -385,13 +384,6 @@ def space_from_json(obj):
     raise InvalidInputError(f"unknown space kind {kind!r}")
 
 
-def distance(space, p, q):
-    """Exact distance between two points of the space."""
-    space.check_point(p)
-    space.check_point(q)
-    return space.distance(p, q)
-
-
 def first_within(space, x, points, r):
     """The first y of ``points``, in input order, with d(x, y) < r; else None.
 
@@ -413,17 +405,6 @@ def first_within(space, x, points, r):
 def distance_to_set(space, x, points):
     """min d(x, y) over y in ``points``; INF when ``points`` is empty."""
     return min((space.distance(x, y) for y in points), default=INF)
-
-
-def set_distance(space, ps, qs):
-    """min d(x, y) over x in ps, y in qs; INF when either side is empty."""
-    return min((distance_to_set(space, x, qs) for x in ps), default=INF)
-
-
-def in_open_ball(space, center, radius, x):
-    """True iff d(center, x) < radius (strict, exact)."""
-    check_positive(radius, "radius")
-    return distance(space, center, x) < radius
 
 
 def greedy_epsilon_net(space, points, eps):

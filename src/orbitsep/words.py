@@ -44,7 +44,3 @@ def compose(u, v):
 def invert(w):
     """Reverse and negate a reduced word."""
     return tuple(-s for s in reversed(w))
-
-
-def is_reduced(w):
-    return all(w[k] != -w[k + 1] for k in range(len(w) - 1))

@@ -199,6 +199,72 @@ def test_verify_bad_permutation(capsys):
     assert payload["isometry_violations"]
 
 
+def _path_graph_with_perm(perm, **fields):
+    """The unit path graph on len(perm) vertices under one vertex
+    permutation, which is no isometry of it."""
+    n = len(perm)
+    edges = [[i, i + 1, 1] for i in range(n - 1)]
+    space = {"kind": "finite_graph", "n": n, "edges": edges}
+    return {"space": space, "generators": [{"kind": "perm", "p": perm}], **fields}
+
+
+PERM_A = [10, 15, 0, 1, 4, 14, 13, 12, 9, 5, 8, 3, 11, 6, 7, 2]
+PERM_B = [2, 13, 10, 6, 4, 14, 7, 15, 0, 5, 1, 9, 3, 12, 11, 8]
+# 40 vertices, so that epsilon = 36/18 = 2 leaves points of C out of its net.
+PERM_C = [
+    29, 27, 12, 13, 2, 23, 8, 18, 31, 35, 16, 9, 26, 5, 33, 14, 4, 36, 32, 25,
+    7, 10, 15, 38, 34, 3, 0, 19, 1, 28, 20, 39, 30, 22, 11, 6, 24, 37, 17, 21,
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, failed",
+    [
+        (
+            "separate",
+            _path_graph_with_perm(
+                PERM_A, P=[{"point": v, "eps": "9/2"} for v in (0, 8)], Q=[2, 9]
+            ),
+            "separation postcondition",
+        ),
+        (
+            "compact",
+            _path_graph_with_perm(
+                PERM_A, C=[{"point": v, "delta": "9"} for v in (0, 8)], D=[2, 9]
+            ),
+            "separation postcondition",
+        ),
+        (
+            "compact",
+            _path_graph_with_perm(
+                PERM_C, C=[{"point": v, "delta": "36"} for v in (25, 3, 24)], D=[22, 20]
+            ),
+            "compact separation postcondition",
+        ),
+        (
+            "fullexist",
+            _path_graph_with_perm(
+                PERM_B,
+                anchors=[7, 5],
+                obstacles=[{"point": 0, "eps": "2"}, {"point": 8, "eps": "4"}],
+            ),
+            "full-existence transfer",
+        ),
+    ],
+    ids=["separate", "compact-inner", "compact", "fullexist"],
+)
+def test_non_isometric_generator_exits_4(capsys, tmp_path, command, doc, failed):
+    """A postcondition whose proof assumes isometries fails: exit 4 with one
+    stderr line naming it, as ``verify`` does on the same action."""
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--in", str(infile))
+    assert (code, out) == (4, "")
+    assert err == f"isometry violation: {failed} failed\n"
+    code, out, _ = run(capsys, "verify", "--in", str(infile))
+    assert code == 4 and json.loads(out)["isometry_violations"]
+
+
 def test_oracle_ok(capsys):
     code, out, _ = run(capsys, "oracle", "--in", instance_path("z1_single.json"))
     assert code == 0
@@ -502,6 +568,14 @@ def _probe(name, command, doc, *extra, message):
             "--check",
             _restart_cert_with_witness([1, 1, 9, -1]),
             message="generator index 9 out of range",
+        ),
+        _probe(
+            "verify-negative-samples",
+            "verify",
+            VERIFY_C4_BAD,
+            "--samples",
+            "-5",
+            message="samples must be an int >= 0",
         ),
         _probe(
             "graph-with-too-few-edges",

@@ -79,7 +79,7 @@ def _reference_verdict(action, weighted, q_points, bound):
         node, w = queue.popleft()
         if len(w) >= bound:
             continue
-        for s in action.signed_order():
+        for s, _ in action.moves():
             nxt = tuple(action.step(s, p) for p in node)
             if nxt in seen:
                 continue
@@ -315,7 +315,7 @@ def test_differential_check_more_space_kinds(family):
     statuses = set()
     for _ in range(40):
         report = O.differential_check(_family_instance(family, master.next_u64()))
-        assert not report.mismatch, report.problems
+        assert report.status != "mismatch", report.problems
         statuses.add(report.status)
     allowed = {"ok", "budget-exhausted"} if family == "dihedral6" else {"ok"}
     assert "ok" in statuses and statuses <= allowed
@@ -362,7 +362,6 @@ def test_differential_check_budget_exhaustion_is_not_mismatch():
     inst = O.random_instance("c4", 0)
     report = O.differential_check(inst)
     assert report.status == "budget-exhausted"
-    assert not report.mismatch
     assert report.certificate is None
     assert report.to_json()["oracle"]["best_ratio"] == "0"
 

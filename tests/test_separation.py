@@ -337,6 +337,10 @@ def test_check_certificate_detects_corruption(z1_action):
         cert.word, cert.achieved, Fraction(7), None
     )
     assert O.check_certificate(z1_action, P, Q, wrong_ratio)
+    # A word that leaves the pivot on Q, with its own consistent distances
+    # and ratio, is one fault, reported once.
+    identity = O.SeparationCertificate((), [((0,), 0)], Fraction(0), None)
+    assert O.check_certificate(z1_action, P, Q, identity) == ["ratio 0 is below 1/3"]
 
 
 def test_certificate_json_roundtrip(z1_action):

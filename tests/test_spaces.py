@@ -12,36 +12,32 @@ from orbitsep.spaces import require_distinct
 
 def test_zd_linf_distance():
     z = O.ZdSpace(2, "linf")
-    assert O.distance(z, (0, 0), (1, 3)) == 3
-    assert O.distance(z, (1, 3), (1, 3)) == 0
+    assert z.distance((0, 0), (1, 3)) == 3
+    assert z.distance((1, 3), (1, 3)) == 0
 
 
 def test_zd_l1_distance():
     z = O.ZdSpace(2, "l1")
-    assert O.distance(z, (0, 0), (1, 3)) == 4
-    assert O.distance(z, (-2, 5), (1, 5)) == 3
+    assert z.distance((0, 0), (1, 3)) == 4
+    assert z.distance((-2, 5), (1, 5)) == 3
 
 
 def test_discrete_shift_distance():
     s = O.DiscreteShiftSpace()
-    assert O.distance(s, 4, 9) == 1
-    assert O.distance(s, 4, 4) == 0
+    assert s.distance(4, 9) == 1
+    assert s.distance(4, 4) == 0
 
 
 def test_point_space_mismatch_rejected():
     z = O.ZdSpace(2, "linf")
     with pytest.raises(InvalidInputError):
-        O.distance(z, (0,), (1, 3))
+        z.check_point((0,))
     with pytest.raises(InvalidInputError):
-        O.distance(z, (0, 0), "x")
+        z.check_point("x")
 
 
 def test_set_distance():
     z = O.ZdSpace(1, "l1")
-    assert O.set_distance(z, [(0,), (3,)], [(5,), (7,)]) == 2
-    assert O.set_distance(z, [], [(0,)]) == O.INF
-    assert O.set_distance(z, [(0,)], []) == O.INF
-    assert O.set_distance(z, [(0,)], [(0,)]) == 0
     # the two one-point primitives behind every ball and set-distance query
     assert O.distance_to_set(z, (0,), [(5,), (-3,), (4,)]) == 3
     assert O.distance_to_set(z, (0,), []) == O.INF
@@ -62,18 +58,6 @@ def test_set_distance():
     assert O.first_within(adapter, (0,), [(5,), (0,)], 1) == (0,)
     assert O.first_within(adapter, (0,), [(5,), (6,)], 1) is None
     assert O.distance_to_set(adapter, (0,), [(5,), (6,)]) == 1
-
-
-def test_open_ball_is_strict():
-    z = O.ZdSpace(1, "l1")
-    assert not O.in_open_ball(z, (0,), 2, (2,))
-    assert O.in_open_ball(z, (0,), 2, (1,))
-    s = O.DiscreteShiftSpace()
-    assert not O.in_open_ball(s, 0, 1, 5)
-    with pytest.raises(InvalidInputError):
-        O.in_open_ball(z, (0,), 0, (1,))
-    with pytest.raises(InvalidInputError):
-        O.in_open_ball(z, (0,), Fraction(-1, 2), (1,))
 
 
 def test_greedy_net_example():
@@ -98,9 +82,9 @@ def test_free_word_metric():
     f = O.FreeSpace(2)
     ab = O.word_from_string("ab")
     a = O.word_from_string("a")
-    assert O.distance(f, ab, a) == 1
-    assert O.distance(f, (), (1, -2, 1)) == 3
-    assert O.distance(f, (1, 2), (1, -2)) == 2  # shared prefix "a"
+    assert f.distance(ab, a) == 1
+    assert f.distance((), (1, -2, 1)) == 3
+    assert f.distance((1, 2), (1, -2)) == 2  # shared prefix "a"
 
 
 def test_free_word_string_roundtrip():
@@ -119,13 +103,13 @@ def test_free_word_string_roundtrip():
 
 def test_finite_graph_path():
     g = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, 1]])
-    assert O.distance(g, 0, 2) == 2
-    assert O.distance(g, 2, 0) == 2
+    assert g.distance(0, 2) == 2
+    assert g.distance(2, 0) == 2
 
 
 def test_finite_graph_rational_weights():
     g = O.FiniteGraphSpace(3, [[0, 1, "1/2"], [1, 2, "1/3"], [0, 2, "7"]])
-    assert O.distance(g, 0, 2) == Fraction(5, 6)
+    assert g.distance(0, 2) == Fraction(5, 6)
 
 
 def _floyd_warshall(n, edges):
@@ -191,7 +175,7 @@ def test_finite_graph_validation():
 def test_scaled_space():
     z = O.ZdSpace(1, "l1")
     s = O.ScaledSpace(z, Fraction(3, 2))
-    assert O.distance(s, (0,), (2,)) == 3
+    assert s.distance((0,), (2,)) == 3
     with pytest.raises(InvalidInputError):
         O.ScaledSpace(z, 0)
 
@@ -199,10 +183,10 @@ def test_scaled_space():
 def test_discrete_adapter():
     g = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, 1]])
     d = O.DiscreteAdapterSpace(g)
-    assert O.distance(d, 0, 2) == 1
-    assert O.distance(d, 2, 2) == 0
+    assert d.distance(0, 2) == 1
+    assert d.distance(2, 2) == 0
     with pytest.raises(InvalidInputError):
-        O.distance(d, 0, 7)
+        d.check_point(7)
 
 
 def test_space_json_roundtrip():
