@@ -158,7 +158,7 @@ def _cert_tables(space, cert, show_trace):
             f"achieved  {json.dumps(space.point_to_json(p))} -> {format_rational(d)}"
         )
     if show_trace and cert.trace is not None:
-        for depth, level in enumerate(cert.trace.levels()):
+        for depth, level in enumerate(cert.trace):
             lines.append(
                 f"level {depth}: pivot {json.dumps(space.point_to_json(level.pivot))}"
                 f" eps {format_rational(level.eps)} escape {_word_str(level.escape)}"
@@ -422,9 +422,6 @@ def main(argv=None):
     except NotIsometricError as exc:
         print(f"isometry violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except RecursionError:  # the solver recurses once per point of P
-        print("unknown: instance too large for the recursion limit", file=sys.stderr)
-        return EXIT_BUDGET
     except OrbitsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -19,7 +19,7 @@ class BudgetExhaustedError(OrbitsepError):
     def __init__(self, message, explored=0):
         super().__init__(message)
         self.explored = explored
-        # Populated as the error unwinds a recursive separation: one JSON-ready
+        # Filled in by separate_points when an escape runs out: one JSON-ready
         # entry per started level, innermost first, with the level's "pivot"
         # (point JSON), "eps" (rational string) and "stage" ("escape" or
         # "recursion"); "recursion" entries add "escape" and "restarts".

@@ -1,7 +1,7 @@
 """Constructive separation of finite point sets under an isometric action.
 
 ``separate_points`` finds a group word ``g`` with ``d(g.p, Q) >= eps_p / 3``
-for every weighted point ``p``, by recursion on ``P``:
+for every weighted point ``p``, by induction on ``P``, one level per point:
 
 * pick a pivot ``p`` (largest ``eps_p``, ties by input order);
 * find an escape word ``a`` moving ``p`` at least ``eps_p`` away from all
@@ -10,8 +10,8 @@ for every weighted point ``p``, by recursion on ``P``:
 * detect the subset ``Q0`` of ``Q`` whose ``eps_p/3``-balls meet the orbit
   of ``p``, recording a witness word ``g_y`` per member (the detection is a
   bounded orbit scan, so it may miss members — see below);
-* recurse on the remaining points (moved by ``a``, keeping their weights)
-  against ``Q' = Q ∪ ⋃_y (g_y ∘ a^-1).Q``, obtaining ``h``;
+* descend to the next level: the remaining points (moved by ``a``, keeping
+  their weights) against ``Q' = Q ∪ ⋃_y (g_y ∘ a^-1).Q``, which yields ``h``;
 * if ``h.a.p`` clears ``Q`` by ``eps_p/3``, answer ``g = h ∘ a``; otherwise
   the violating ``y`` is a genuine ``Q0`` member.  If its witness was
   already recorded, the composite ``g = a ∘ g_y^-1 ∘ h ∘ a`` is provably
@@ -19,8 +19,8 @@ for every weighted point ``p``, by recursion on ``P``:
   ``y``, so record it and redo this level.  Each redo strictly enlarges
   ``Q0 ⊆ Q``, so a level restarts at most ``|Q|`` times.
 
-Every certificate carries the per-point achieved distances and the full
-recursion trace, and is re-checked exactly before being returned.
+Every certificate carries the per-point achieved distances and the trace,
+one level per point, and is re-checked exactly before being returned.
 """
 
 from bisect import bisect_left, bisect_right
@@ -52,7 +52,7 @@ from .words import IDENTITY, check_word, compose, invert
 
 @dataclass
 class LevelTrace:
-    """One recursion level: the choices that determine the certificate."""
+    """One level, for one point of P: the choices that determine the certificate."""
 
     pivot: object
     eps: object
@@ -61,13 +61,13 @@ class LevelTrace:
     restarts: int
     case: str  # "direct" or "fallback"
     fallback_y: object
-    child: Optional["LevelTrace"]
 
-    def levels(self):
-        node = self
-        while node is not None:
-            yield node
-            node = node.child
+
+class Trace(list):
+    """The levels of a separation, outermost first: one per point of P."""
+
+    def levels(self):  # the name perfbench/tracer.py reads the levels by
+        return iter(self)
 
 
 @dataclass
@@ -77,7 +77,7 @@ class SeparationCertificate:
     word: tuple
     achieved: list  # [(point, distance to Q of the moved point)]
     ratio: object  # min achieved(p) / eps_p, INF for empty P
-    trace: Optional[LevelTrace]
+    trace: Optional[Trace]  # None: no trace recorded
 
 
 def _check_weighted(action, weighted, what="P"):
@@ -176,60 +176,60 @@ def _partial_level(space, pivot, eps, stage, **extra):
 
 
 def _separate(action, weighted, q_points, budget, stats):
-    if not weighted:
-        return IDENTITY, None
-    best = 0
-    for i in range(1, len(weighted)):
-        if weighted[i][1] > weighted[best][1]:
-            best = i
-    pivot, eps = weighted[best]
-    rest = weighted[:best] + weighted[best + 1 :]
-    eps3 = Fraction(eps) / 3
     space = action.space
-
-    try:
-        a = find_escape(action, pivot, q_points, eps, budget, stats)
-    except BudgetExhaustedError as exc:
-        exc.partial_levels.append(_partial_level(space, pivot, eps, "escape"))
-        raise
-    moved = [(action.apply_word(a, x), ex) for x, ex in rest]
-    # With nothing left to recurse on, h is the identity and the direct case
-    # below always fires (the escape already clears Q by eps, not just eps/3),
-    # so the detection scan would be dead weight.
-    q0 = _detect_q0(action, pivot, q_points, eps3, budget, stats) if moved else {}
-
-    restarts = 0
+    frames = []  # (level, Q at that level, the rest of P moved by its escape)
     while True:
-        enlarged = _enlarge(action, q_points, q0, a)
-        try:
-            h, child = _separate(action, moved, enlarged, budget, stats)
-        except BudgetExhaustedError as exc:
-            exc.partial_levels.append(
-                _partial_level(
-                    space, pivot, eps, "recursion", escape=list(a), restarts=restarts
-                )
-            )
-            raise
-        ha = compose(h, a)
-        violating = first_within(space, action.apply_word(ha, pivot), q_points, eps3)
-        if violating is None:
-            trace = LevelTrace(
-                pivot, eps, a, list(q0.items()), restarts, "direct", None, child
-            )
-            return ha, trace
-        witness = q0.get(violating)
-        if witness is not None:
-            g = compose(a, compose(invert(witness), ha))
-            trace = LevelTrace(
-                pivot, eps, a, list(q0.items()), restarts, "fallback", violating, child
-            )
-            return g, trace
-        # The failing image point itself lies within eps/3 of `violating`, so
-        # h ∘ a is a witness the bounded detection missed; redo this level.
-        q0[violating] = ha
-        restarts += 1
-        if restarts > len(q_points):
-            raise AssertionError("restart bound exceeded; recursion is broken")
+        while weighted:  # descend: escape each pivot and build Q' for the rest
+            best = max(range(len(weighted)), key=lambda i: weighted[i][1])
+            pivot, eps = weighted[best]
+            rest = weighted[:best] + weighted[best + 1 :]
+            try:
+                a = find_escape(action, pivot, q_points, eps, budget, stats)
+            except BudgetExhaustedError as exc:
+                exc.partial_levels.append(_partial_level(space, pivot, eps, "escape"))
+                for level, _, _ in reversed(frames):
+                    kw = {"escape": list(level.escape), "restarts": level.restarts}
+                    exc.partial_levels.append(
+                        _partial_level(space, level.pivot, level.eps, "recursion", **kw)
+                    )
+                raise
+            moved = [(action.apply_word(a, x), ex) for x, ex in rest]
+            # With nothing left below, h is the identity and the direct case
+            # always fires (a clears Q by eps), so a Q0 scan would be wasted.
+            eps3 = Fraction(eps) / 3
+            q0 = {}
+            if moved:
+                q0 = _detect_q0(action, pivot, q_points, eps3, budget, stats)
+            level = LevelTrace(pivot, eps, a, list(q0.items()), 0, None, None)
+            frames.append((level, q_points, moved))
+            weighted, q_points = moved, _enlarge(action, q_points, q0, a)
+
+        h = IDENTITY
+        for i in reversed(range(len(frames))):  # ascend: compose h level by level
+            level, q_points, moved = frames[i]
+            a, eps3 = level.escape, Fraction(level.eps) / 3
+            ha = compose(h, a)
+            image = action.apply_word(ha, level.pivot)
+            violating = first_within(space, image, q_points, eps3)
+            if violating is None:
+                level.case, h = "direct", ha
+                continue
+            witness = dict(level.q0).get(violating)
+            if witness is not None:
+                level.case, level.fallback_y = "fallback", violating
+                h = compose(a, compose(invert(witness), ha))
+                continue
+            # h ∘ a is a witness for `violating` the bounded detection missed:
+            # redo this level, dropping the levels below it and descending again.
+            level.q0.append((violating, ha))
+            level.restarts += 1
+            if level.restarts > len(q_points):
+                raise AssertionError("restart bound exceeded; separation is broken")
+            del frames[i + 1 :]
+            weighted, q_points = moved, _enlarge(action, q_points, dict(level.q0), a)
+            break
+        else:
+            return h, Trace(level for level, _, _ in frames)
 
 
 def evaluate_word(action, weighted, q_points, word):
@@ -280,11 +280,7 @@ def separate_discrete(action, points, q_points, budget=None, stats=None):
         )
     points = list(points)
     weighted = [(p, Fraction(1)) for p in points]
-    cert = separate_points(action, weighted, q_points, budget, stats)
-    images = {action.apply_word(cert.word, p) for p in points}
-    if images & set(q_points):
-        raise AssertionError("discrete separation left an intersection")
-    return cert
+    return separate_points(action, weighted, q_points, budget, stats)
 
 
 @dataclass
@@ -394,61 +390,63 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
     Verifies per level that the recorded escape clears Q, that every recorded
     witness lands within eps/3 of its Q-point, and that the recorded case
     matches what the recomputed data forces.  Returns the reproduced word;
-    raises TraceReplayError on any inconsistency.  When ``audit`` is a list,
-    appends {"restarts", "q_size"} per level for bound checking.
+    raises TraceReplayError on any inconsistency, such as a length other than
+    |P|.  When ``audit`` is a list, appends {"restarts", "q_size"} per level.
     """
     weighted = list(weighted)
     q_points = list(q_points)
-    if not weighted:
-        if trace is not None:
-            raise TraceReplayError("trace has a level for an empty point set")
-        return IDENTITY
-    if trace is None:
-        raise TraceReplayError("trace is missing a recursion level")
-    if audit is not None:
-        audit.append({"restarts": trace.restarts, "q_size": len(q_points)})
+    if len(trace) != len(weighted):
+        raise TraceReplayError(f"{len(trace)} trace levels for {len(weighted)} points")
     space = action.space
-    matches = [
-        i for i, (p, e) in enumerate(weighted) if p == trace.pivot and e == trace.eps
-    ]
-    if not matches:
-        raise TraceReplayError(f"recorded pivot {trace.pivot!r} not in point set")
-    idx = matches[0]
-    pivot, eps = weighted[idx]
-    rest = weighted[:idx] + weighted[idx + 1 :]
-    eps3 = Fraction(eps) / 3
+    steps = []
+    for level in trace:  # descend: check each escape and witness, build Q'
+        if audit is not None:
+            audit.append({"restarts": level.restarts, "q_size": len(q_points)})
+        matches = [
+            i for i, (p, e) in enumerate(weighted) if p == level.pivot and e == level.eps
+        ]
+        if not matches:
+            raise TraceReplayError(f"recorded pivot {level.pivot!r} not in point set")
+        idx = matches[0]
+        pivot, eps = weighted[idx]
+        rest = weighted[:idx] + weighted[idx + 1 :]
+        eps3 = Fraction(eps) / 3
 
-    a = trace.escape
-    if first_within(space, action.apply_word(a, pivot), q_points, eps) is not None:
-        raise TraceReplayError("recorded escape word does not escape Q")
+        a = level.escape
+        if first_within(space, action.apply_word(a, pivot), q_points, eps) is not None:
+            raise TraceReplayError("recorded escape word does not escape Q")
 
-    q_set = set(q_points)
-    q0 = {}
-    for y, g_y in trace.q0:
-        if y not in q_set:
-            raise TraceReplayError(f"recorded Q0 member {y!r} is not in Q")
-        if space.distance(action.apply_word(g_y, pivot), y) >= eps3:
-            raise TraceReplayError(f"recorded witness for {y!r} is not within eps/3")
-        q0[y] = g_y
+        q_set = set(q_points)
+        q0 = {}
+        for y, g_y in level.q0:
+            if y not in q_set:
+                raise TraceReplayError(f"recorded Q0 member {y!r} is not in Q")
+            if space.distance(action.apply_word(g_y, pivot), y) >= eps3:
+                raise TraceReplayError(f"recorded witness for {y!r} is not within eps/3")
+            q0[y] = g_y
 
-    enlarged = _enlarge(action, q_points, q0, a)
-    moved = [(action.apply_word(a, x), ex) for x, ex in rest]
-    h = replay_trace(action, moved, enlarged, trace.child, audit)
-    ha = compose(h, a)
-    image = action.apply_word(ha, pivot)
+        steps.append((level, pivot, eps3, q_points, q0))
+        q_points = _enlarge(action, q_points, q0, a)
+        weighted = [(action.apply_word(a, x), ex) for x, ex in rest]
 
-    if trace.case == "direct":
-        if first_within(space, image, q_points, eps3) is not None:
-            raise TraceReplayError("direct case recorded but pivot lands near Q")
-        return ha
-    if trace.case == "fallback":
-        y = trace.fallback_y
-        if y not in q0:
-            raise TraceReplayError("fallback member has no recorded witness")
-        if space.distance(image, y) >= eps3:
-            raise TraceReplayError("fallback case recorded but no violation at y")
-        return compose(a, compose(invert(q0[y]), ha))
-    raise TraceReplayError(f"unknown trace case {trace.case!r}")
+    h = IDENTITY
+    for level, pivot, eps3, q_points, q0 in reversed(steps):  # ascend: compose h
+        ha = compose(h, level.escape)
+        image = action.apply_word(ha, pivot)
+        if level.case == "direct":
+            if first_within(space, image, q_points, eps3) is not None:
+                raise TraceReplayError("direct case recorded but pivot lands near Q")
+            h = ha
+        elif level.case == "fallback":
+            y = level.fallback_y
+            if y not in q0:
+                raise TraceReplayError("fallback member has no recorded witness")
+            if space.distance(image, y) >= eps3:
+                raise TraceReplayError("fallback case recorded but no violation at y")
+            h = compose(level.escape, compose(invert(q0[y]), ha))
+        else:
+            raise TraceReplayError(f"unknown trace case {level.case!r}")
+    return h
 
 
 def check_certificate(action, weighted, q_points, cert):
@@ -496,44 +494,49 @@ def check_certificate(action, weighted, q_points, cert):
 def trace_to_json(space, trace):
     if trace is None:
         return None
-    return {
-        "pivot": space.point_to_json(trace.pivot),
-        "eps": format_rational(trace.eps),
-        "escape": list(trace.escape),
-        "q0": [
-            {"y": space.point_to_json(y), "witness": list(w)} for y, w in trace.q0
-        ],
-        "restarts": trace.restarts,
-        "case": trace.case,
-        "fallback_y": None
-        if trace.fallback_y is None
-        else space.point_to_json(trace.fallback_y),
-        "child": trace_to_json(space, trace.child),
-    }
+    return [
+        {
+            "pivot": space.point_to_json(level.pivot),
+            "eps": format_rational(level.eps),
+            "escape": list(level.escape),
+            "q0": [
+                {"y": space.point_to_json(y), "witness": list(w)} for y, w in level.q0
+            ],
+            "restarts": level.restarts,
+            "case": level.case,
+            "fallback_y": None
+            if level.fallback_y is None
+            else space.point_to_json(level.fallback_y),
+        }
+        for level in trace
+    ]
 
 
 def trace_from_json(space, obj):
     if obj is None:
         return None
+    if not isinstance(obj, list):
+        raise InvalidInputError("trace must be a JSON array of levels")
     try:
-        restarts = check_int(obj["restarts"], "trace restarts", 0)
-        return LevelTrace(
-            pivot=space.point_from_json(obj["pivot"]),
-            eps=parse_rational(obj["eps"]),
-            escape=check_word(obj["escape"]),
-            q0=[
-                (space.point_from_json(e["y"]), check_word(e["witness"]))
-                for e in obj["q0"]
-            ],
-            restarts=restarts,
-            case=obj["case"],
-            fallback_y=None
-            if obj.get("fallback_y") is None
-            else space.point_from_json(obj["fallback_y"]),
-            child=trace_from_json(space, obj.get("child")),
+        return Trace(
+            LevelTrace(
+                pivot=space.point_from_json(level["pivot"]),
+                eps=parse_rational(level["eps"]),
+                escape=check_word(level["escape"]),
+                q0=[
+                    (space.point_from_json(e["y"]), check_word(e["witness"]))
+                    for e in level["q0"]
+                ],
+                restarts=check_int(level["restarts"], "trace restarts", 0),
+                case=level["case"],
+                fallback_y=None
+                if level.get("fallback_y") is None
+                else space.point_from_json(level["fallback_y"]),
+            )
+            for level in obj
         )
     except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed trace object: {exc}") from exc
+        raise InvalidInputError(f"malformed trace level: {exc}") from exc
 
 
 def certificate_to_json(space, cert):

@@ -364,8 +364,18 @@ def is_discrete(space):
     return isinstance(space, (DiscreteShiftSpace, DiscreteAdapterSpace))
 
 
-def space_from_json(obj):
-    """Build a space from its description dict."""
+# Each scaled/discrete wrapper adds a frame to every distance call, so their
+# nesting is capped far below the recursion limit.
+MAX_SPACE_NESTING = 64
+
+
+def space_from_json(obj, depth=0):
+    """Build a space from its description dict; ``depth`` counts the
+    scaled/discrete wrappers around ``obj``."""
+    if depth > MAX_SPACE_NESTING:
+        raise InvalidInputError(
+            f"space nests more than {MAX_SPACE_NESTING} scaled/discrete wrappers"
+        )
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidInputError(f"space description must have a 'kind', got {obj!r}")
     kind = obj["kind"]
@@ -378,9 +388,10 @@ def space_from_json(obj):
     if kind == "finite_graph":
         return FiniteGraphSpace(obj.get("n"), obj.get("edges", []))
     if kind == "scaled":
-        return ScaledSpace(space_from_json(obj.get("inner")), obj.get("factor"))
+        inner = space_from_json(obj.get("inner"), depth + 1)
+        return ScaledSpace(inner, obj.get("factor"))
     if kind == "discrete":
-        return DiscreteAdapterSpace(space_from_json(obj.get("inner")))
+        return DiscreteAdapterSpace(space_from_json(obj.get("inner"), depth + 1))
     raise InvalidInputError(f"unknown space kind {kind!r}")
 
 

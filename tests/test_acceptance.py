@@ -171,13 +171,13 @@ def test_criterion_06_restart_soundness(zd2_pool):
     fb_p = [((0,), 3), ((50,), 3)]
     fb_q = [(0,), (3,), (39,), (41,)]
     fb = O.separate_points(z1, fb_p, fb_q, budget)
-    assert fb.trace.case == "fallback"
+    assert fb.trace[0].case == "fallback"
     audit_cert(z1, fb_p, fb_q, fb)
 
     rs_p = [((0,), 3), ((50,), 3), ((100,), 3)]
     rs_q = [(8,), (47,), (51,), (101,), (105,)]
     rs = O.separate_points(z1, rs_p, rs_q, budget)
-    assert rs.trace.restarts >= 1
+    assert rs.trace[0].restarts >= 1
     audit_cert(z1, rs_p, rs_q, rs)
     announce(
         6,

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +24,7 @@ def test_separate_basic(capsys):
     assert payload["word"] == [-1] * 6
     assert payload["ratio"] == "1"
     assert payload["achieved"] == [[[0], "6"]]
-    assert payload["trace"]["case"] == "direct"
+    assert payload["trace"][0]["case"] == "direct"
 
 
 def test_separate_empty_p(capsys):
@@ -87,8 +90,8 @@ def test_budget_exhausted_payload_lists_partial_levels(capsys, tmp_path):
     assert json.loads(out)["partial_levels"] == []
 
 
-def test_deep_recursion_exits_2(capsys, tmp_path):
-    """|P| = 1200 recurses past Python's limit: "unknown", not a traceback."""
+def test_deep_instance_solves_and_checks(capsys, tmp_path):
+    """|P| = 1200 is 1200 trace levels: it solves, and its certificate checks."""
     doc = {
         "space": {"kind": "zd", "dim": 1, "norm": "l1"},
         "generators": [{"kind": "translation", "v": [1]}],
@@ -97,10 +100,33 @@ def test_deep_recursion_exits_2(capsys, tmp_path):
     }
     infile = tmp_path / "deep.json"
     infile.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "separate", "--in", str(infile))
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("unknown:")
+    code, out, _ = run(capsys, "separate", "--in", str(infile))
+    assert code == 0
+    assert len(json.loads(out)["trace"]) == 1200
+    certfile = tmp_path / "deep.cert.json"
+    certfile.write_text(out)
+    argv = ["separate", "--in", str(infile), "--check", str(certfile)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"status": "check-ok"}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda trace: trace[:1] + trace[2:], lambda trace: trace[:1] + trace],
+    ids=["level-dropped", "level-duplicated"],
+)
+def test_check_rejects_trace_of_wrong_length(capsys, tmp_path, edit):
+    cert = json.loads((pathlib.Path(Z1_CERT).parent / "restart.out").read_text())
+    cert["trace"] = edit(cert["trace"])
+    certfile = tmp_path / "restart.cert.json"
+    certfile.write_text(json.dumps(cert))
+    argv = ["separate", "--in", instance_path("restart.json"), "--check", str(certfile)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 5
+    payload = json.loads(out)
+    assert payload["status"] == "check-failed"
+    assert any("trace levels for 3 points" in p for p in payload["problems"])
 
 
 def test_oracle_budget_exhausted_carries_oracle_verdict(capsys):
@@ -375,7 +401,7 @@ def _cert(**fields):
 
 def _trace(**fields):
     """z1_single's certificate with some fields of its trace replaced."""
-    return _cert(trace={**Z1_CERT_DOC["trace"], **fields})
+    return _cert(trace=[{**Z1_CERT_DOC["trace"][0], **fields}])
 
 
 VERIFY_C4_BAD = json.loads(pathlib.Path(instance_path("verify_c4_bad.json")).read_text())
@@ -387,7 +413,7 @@ def _restart_cert_with_witness(witness):
     cert = json.loads(
         (pathlib.Path(Z1_CERT).parent / "restart.out").read_text(encoding="utf-8")
     )
-    cert["trace"]["q0"][0]["witness"] = witness
+    cert["trace"][0]["q0"][0]["witness"] = witness
     return cert
 
 
@@ -540,6 +566,14 @@ def _probe(name, command, doc, *extra, message):
             message="restarts",
         ),
         _probe(
+            "trace-nested-object",
+            "separate",
+            VALID_SEPARATE,
+            "--check",
+            _cert(trace={**Z1_CERT_DOC["trace"][0], "child": None}),
+            message="trace must be a JSON array of levels",
+        ),
+        _probe(
             "nested-too-deep",
             "separate",
             "[" * 100000 + "]" * 100000,
@@ -603,6 +637,31 @@ def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message)
     assert out == ""
     assert err.startswith("invalid input:") and message in err
     assert err.count("\n") == 1
+
+
+def test_space_nested_980_deep_exits_3(tmp_path):
+    """A fresh interpreter decodes 980 nested scaled spaces; the nesting cap
+    refuses them before a distance call can recurse through every wrapper."""
+    space = (
+        '{"kind": "scaled", "factor": "2", "inner": ' * 980
+        + json.dumps(Z1["space"])
+        + "}" * 980
+    )
+    rest = {key: value for key, value in VALID_SEPARATE.items() if key != "space"}
+    infile = tmp_path / "nested.json"
+    infile.write_text('{"space": ' + space + ", " + json.dumps(rest)[1:])
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "orbitsep.cli", "separate", "--in", str(infile)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "invalid input: space nests more than 64 scaled/discrete wrappers\n"
+    )
 
 
 @pytest.mark.parametrize(

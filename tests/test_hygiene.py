@@ -1,5 +1,6 @@
-"""Dead code in the package: imports a module never uses, definitions
-nothing calls.  Both are found from the source alone, with ``ast``."""
+"""Dead code in the package (imports a module never uses, definitions
+nothing calls) and recursion.  All are found from the source alone, with
+``ast``."""
 
 import ast
 import pathlib
@@ -15,14 +16,10 @@ MODULES = {
 
 
 def _references(node):
-    """How often each name is read, as a bare name or as an attribute."""
-    names = Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            names[n.id] += 1
-        elif isinstance(n, ast.Attribute):
-            names[n.attr] += 1
-    return names
+    """How often each bare name is read.  An attribute (``x.name``) is not a
+    read of a top-level ``name``: it may be any method or field so called."""
+    reads = (n for n in ast.walk(node) if isinstance(n, ast.Name))
+    return Counter(n.id for n in reads if isinstance(n.ctx, ast.Load))
 
 
 def _imported_names(tree):
@@ -39,22 +36,34 @@ def test_every_import_is_used(module):
     assert [name for name in _imported_names(tree) if not used[name]] == []
 
 
+def _imported_from_siblings():
+    """(module, name) for every ``from .module import name`` outside
+    ``__init__.py``."""
+    return {
+        (f"{node.module}.py", alias.name)
+        for module, tree in MODULES.items()
+        if module != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
 def _unreferenced(private):
-    """Top-level private (or public) functions and classes that no module
-    uses outside their own body; an export from ``__init__.py`` is no use."""
-    everywhere = Counter()
+    """Top-level private (or public) functions and classes that nothing uses:
+    their own module never reads their bare name outside their own body
+    (recursion does not count), and no other module imports them.  An export
+    from ``__init__.py`` is no use, and another module's local of the same
+    name is not a use either."""
+    imported = _imported_from_siblings()
     for module, tree in MODULES.items():
-        if module != "__init__.py":
-            everywhere += _references(tree)
-    for module, tree in MODULES.items():
+        reads = _references(tree)
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            # Uses inside its own body (recursion) do not count.
             name = node.name
-            if name.startswith("_") == private and not (
-                everywhere[name] - _references(node)[name]
-            ):
+            used = reads[name] - _references(node)[name] or (module, name) in imported
+            if name.startswith("_") == private and not used:
                 yield f"{module}: {name}"
 
 
@@ -67,3 +76,22 @@ def test_every_public_definition_is_referenced():
     # certifies that an orbit has no small eps-net, which no solver step needs.
     allowed = ["actions.py: separated_family"]
     assert [d for d in _unreferenced(private=False) if d not in allowed] == []
+
+
+def test_no_top_level_function_calls_itself():
+    """Loops, not recursion: an input's size must not meet the recursion
+    limit.  space_from_json recurses once per scaled/discrete wrapper, which
+    MAX_SPACE_NESTING caps."""
+    recursive = [
+        f"{module}: {node.name}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+    assert recursive == ["spaces.py: space_from_json"]

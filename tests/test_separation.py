@@ -1,3 +1,4 @@
+import json
 import types
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ def test_empty_p_is_identity(z1_action):
     cert = O.separate_points(z1_action, [], [(0,), (5,)])
     assert cert.word == ()
     assert cert.ratio == O.INF
-    assert cert.trace is None
+    assert cert.trace == []
 
 
 def test_discrete_pair_example(shift_action):
@@ -73,8 +74,8 @@ def test_input_validation(z1_action):
 def test_pivot_is_largest_weight(z1_action):
     P = [((0,), 1), ((10,), 5)]
     cert = O.separate_points(z1_action, P, [(20,)])
-    assert cert.trace.pivot == (10,)
-    assert cert.trace.eps == 5
+    assert cert.trace[0].pivot == (10,)
+    assert cert.trace[0].eps == 5
 
 
 def test_budget_error_carries_partial_trace(c4_action):
@@ -274,18 +275,18 @@ def test_crafted_fallback_instance(z1_action):
     cert = O.separate_points(
         z1_action, Z_FALLBACK["P"], Z_FALLBACK["Q"], SMALL_BUDGET
     )
-    assert cert.trace.case == "fallback"
-    assert cert.trace.fallback_y == (0,)
+    assert cert.trace[0].case == "fallback"
+    assert cert.trace[0].fallback_y == (0,)
     assert cert.word == (-1, -1, -1)
     assert_valid(z1_action, Z_FALLBACK["P"], Z_FALLBACK["Q"], cert)
 
 
 def test_crafted_restart_instance(z1_action):
     cert = O.separate_points(z1_action, Z_RESTART["P"], Z_RESTART["Q"], SMALL_BUDGET)
-    assert cert.trace.restarts == 1
-    assert cert.trace.case == "direct"
+    assert cert.trace[0].restarts == 1
+    assert cert.trace[0].case == "direct"
     # the lazily found member carries the witness the detection missed
-    q0 = dict(cert.trace.q0)
+    q0 = dict(cert.trace[0].q0)
     assert (8,) in q0
     assert z1_action.apply_word(q0[(8,)], (0,)) == (8,)
     assert_valid(z1_action, Z_RESTART["P"], Z_RESTART["Q"], cert)
@@ -306,7 +307,7 @@ def test_replay_rejects_tampered_trace(z1_action):
     P = Z_FALLBACK["P"]
     Q = Z_FALLBACK["Q"]
     cert = O.separate_points(z1_action, P, Q, SMALL_BUDGET)
-    cert.trace.case = "direct"
+    cert.trace[0].case = "direct"
     with pytest.raises(TraceReplayError):
         O.replay_trace(z1_action, P, Q, cert.trace)
 
@@ -355,6 +356,16 @@ def test_certificate_json_roundtrip(z1_action):
     assert back.ratio == cert.ratio
     assert O.trace_to_json(space, back.trace) == O.trace_to_json(space, cert.trace)
     assert O.check_certificate(z1_action, P, Q, back) == []
+
+
+def test_deep_certificate_json_roundtrip(z1_action):
+    """1200 trace levels encode, print, parse and decode to the same certificate."""
+    P = [((i,), Fraction(1)) for i in range(1200)]
+    cert = O.separate_points(z1_action, P, [])
+    assert len(cert.trace) == 1200
+    space = z1_action.space
+    text = json.dumps(O.certificate_to_json(space, cert))
+    assert O.certificate_from_json(space, json.loads(text)) == cert
 
 
 def test_equivariance_on_scaled_space(z1_action):

@@ -208,6 +208,21 @@ def test_space_json_roundtrip():
         O.space_from_json({"kind": "banach"})
 
 
+@pytest.mark.parametrize(
+    "wrapper, distance",
+    [({"kind": "scaled", "factor": "2"}, 2**64), ({"kind": "discrete"}, 1)],
+    ids=["scaled", "discrete"],
+)
+def test_space_nesting_cap(wrapper, distance):
+    """64 scaled/discrete wrappers build a space; a 65th is refused."""
+    spec = {"kind": "zd", "dim": 1, "norm": "l1"}
+    for _ in range(64):
+        spec = {**wrapper, "inner": spec}
+    assert O.space_from_json(spec).distance((0,), (1,)) == distance
+    with pytest.raises(InvalidInputError, match="nests more than 64"):
+        O.space_from_json({**wrapper, "inner": spec})
+
+
 def test_validate_metric_clean_space():
     z = O.ZdSpace(2, "linf")
     rng = O.SplitMix64(5)
