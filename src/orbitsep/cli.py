@@ -11,8 +11,10 @@ mismatch.  A subcommand reading --in exits with the code of its payload's
 
 import argparse
 import json
+import re
 import sys
 from functools import cached_property, partial
+from itertools import accumulate
 
 from .actions import (
     GeneratedAction,
@@ -40,6 +42,7 @@ from .separation import (
     certificate_to_json,
     check_certificate,
     compact_result_to_json,
+    discrete_weights,
     full_existence_step,
     separate_compact,
     separate_discrete,
@@ -65,13 +68,31 @@ EXIT_FOR_STATUS = {
 }
 
 
+# Deeper documents are refused before decoding, so whether one decodes does
+# not depend on how much of the interpreter's stack the caller already uses.
+MAX_JSON_DEPTH = 256
+_NOT_A_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[^][{}"]+')
+
+
+def _json_depth(text):
+    """The deepest nesting of arrays and objects; brackets in strings do not count."""
+    brackets = _NOT_A_BRACKET.sub("", text)
+    return max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0)
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    if _json_depth(text) > MAX_JSON_DEPTH:
+        raise InvalidInputError(
+            f"bad JSON in {path}: nested deeper than {MAX_JSON_DEPTH} levels"
+        )
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"bad JSON in {path}: {exc}") from exc
 
 
@@ -167,8 +188,7 @@ def _cert_tables(space, cert, show_trace):
     return lines
 
 
-def _run_check(action, weighted, q_points, args):
-    stored = certificate_from_json(action.space, _load_json(args.check))
+def _run_check(action, weighted, q_points, stored):
     problems = check_certificate(action, weighted, q_points, stored)
     if problems:
         payload = {"status": "check-failed", "problems": problems}
@@ -181,7 +201,8 @@ def _cmd_separate(doc, args):
     weighted = doc.weighted("P", "eps")
     q_points = doc.points("Q")
     if args.check:
-        return _run_check(action, weighted, q_points, args)
+        stored = certificate_from_json(doc.space, _load_json(args.check))
+        return _run_check(action, weighted, q_points, stored)
     cert = separate_points(action, weighted, q_points, _budget(doc.obj, args))
     payload = certificate_to_json(doc.space, cert)
     return payload, _cert_tables(doc.space, cert, args.trace)
@@ -191,9 +212,9 @@ def _cmd_discrete(doc, args):
     action = doc.action
     points = doc.points("P")
     q_points = doc.points("Q")
-    if args.check:
-        weighted = [(p, parse_rational(1)) for p in points]
-        return _run_check(action, weighted, q_points, args)
+    if args.check:  # a malformed certificate is reported before a refused metric
+        stored = certificate_from_json(doc.space, _load_json(args.check))
+        return _run_check(action, discrete_weights(doc.space, points), q_points, stored)
     cert = separate_discrete(action, points, q_points, _budget(doc.obj, args))
     payload = certificate_to_json(doc.space, cert)
     return payload, _cert_tables(doc.space, cert, args.trace)

@@ -1,17 +1,19 @@
 """Constructive separation of finite point sets under an isometric action.
 
 ``separate_points`` finds a group word ``g`` with ``d(g.p, Q) >= eps_p / 3``
-for every weighted point ``p``, by induction on ``P``, one level per point:
+for every weighted point ``p``, by induction on ``P``, one level per point.
+P is ordered once, largest ``eps_p`` first (ties by input order), and never
+moved: each level records the word that moves P to the level below it.
 
-* pick a pivot ``p`` (largest ``eps_p``, ties by input order);
+* the pivot ``p`` is the level's point of the order, moved by that word;
 * find an escape word ``a`` moving ``p`` at least ``eps_p`` away from all
   of ``Q`` (possible whenever the orbit of ``p`` has no finite
   ``eps_p``-net, budget permitting);
 * detect the subset ``Q0`` of ``Q`` whose ``eps_p/3``-balls meet the orbit
   of ``p``, recording a witness word ``g_y`` per member (the detection is a
   bounded orbit scan, so it may miss members — see below);
-* descend to the next level: the remaining points (moved by ``a``, keeping
-  their weights) against ``Q' = Q ∪ ⋃_y (g_y ∘ a^-1).Q``, which yields ``h``;
+* descend to the next level, whose word is ``a`` after this level's, against
+  ``Q' = Q ∪ ⋃_y (g_y ∘ a^-1).Q``; the levels below yield ``h``;
 * if ``h.a.p`` clears ``Q`` by ``eps_p/3``, answer ``g = h ∘ a``; otherwise
   the violating ``y`` is a genuine ``Q0`` member.  If its witness was
   already recorded, the composite ``g = a ∘ g_y^-1 ∘ h ∘ a`` is provably
@@ -177,12 +179,12 @@ def _partial_level(space, pivot, eps, stage, **extra):
 
 def _separate(action, weighted, q_points, budget, stats):
     space = action.space
-    frames = []  # (level, Q at that level, the rest of P moved by its escape)
+    order = sorted(weighted, key=lambda pe: pe[1], reverse=True)  # ties: input order
+    frames = []  # (level, Q at that level, the word moving P to the level below)
+    moved_by = IDENTITY
     while True:
-        while weighted:  # descend: escape each pivot and build Q' for the rest
-            best = max(range(len(weighted)), key=lambda i: weighted[i][1])
-            pivot, eps = weighted[best]
-            rest = weighted[:best] + weighted[best + 1 :]
+        for p, eps in order[len(frames) :]:  # descend: escape each pivot, build Q'
+            pivot = action.apply_word(moved_by, p)
             try:
                 a = find_escape(action, pivot, q_points, eps, budget, stats)
             except BudgetExhaustedError as exc:
@@ -193,20 +195,20 @@ def _separate(action, weighted, q_points, budget, stats):
                         _partial_level(space, level.pivot, level.eps, "recursion", **kw)
                     )
                 raise
-            moved = [(action.apply_word(a, x), ex) for x, ex in rest]
+            moved_by = compose(a, moved_by)
             # With nothing left below, h is the identity and the direct case
             # always fires (a clears Q by eps), so a Q0 scan would be wasted.
             eps3 = Fraction(eps) / 3
             q0 = {}
-            if moved:
+            if len(frames) + 1 < len(order):
                 q0 = _detect_q0(action, pivot, q_points, eps3, budget, stats)
             level = LevelTrace(pivot, eps, a, list(q0.items()), 0, None, None)
-            frames.append((level, q_points, moved))
-            weighted, q_points = moved, _enlarge(action, q_points, q0, a)
+            frames.append((level, q_points, moved_by))
+            q_points = _enlarge(action, q_points, q0, a)
 
         h = IDENTITY
         for i in reversed(range(len(frames))):  # ascend: compose h level by level
-            level, q_points, moved = frames[i]
+            level, q_points, moved_by = frames[i]
             a, eps3 = level.escape, Fraction(level.eps) / 3
             ha = compose(h, a)
             image = action.apply_word(ha, level.pivot)
@@ -226,7 +228,7 @@ def _separate(action, weighted, q_points, budget, stats):
             if level.restarts > len(q_points):
                 raise AssertionError("restart bound exceeded; separation is broken")
             del frames[i + 1 :]
-            weighted, q_points = moved, _enlarge(action, q_points, dict(level.q0), a)
+            q_points = _enlarge(action, q_points, dict(level.q0), a)
             break
         else:
             return h, Trace(level for level, _, _ in frames)
@@ -268,18 +270,23 @@ def separate_points(action, weighted, q_points, budget=None, stats=None):
     return SeparationCertificate(word, achieved, ratio, trace)
 
 
+def discrete_weights(space, points):
+    """The points with unit weights, once the metric is 0/1: the weighted P
+    that separate_discrete solves and its certificates are checked against."""
+    if not is_discrete(space):
+        raise InvalidInputError(
+            "separate_discrete needs a discrete metric (native or adapter)"
+        )
+    return [(p, Fraction(1)) for p in points]
+
+
 def separate_discrete(action, points, q_points, budget=None, stats=None):
     """Discrete-metric specialization: find g with (g.P) ∩ Q = ∅.
 
     Runs separate_points with unit weights; discrete distances of at least
     1/3 are exactly 1, so a certificate moves P entirely off Q.
     """
-    if not is_discrete(action.space):
-        raise InvalidInputError(
-            "separate_discrete needs a discrete metric (native or adapter)"
-        )
-    points = list(points)
-    weighted = [(p, Fraction(1)) for p in points]
+    weighted = discrete_weights(action.space, points)
     return separate_points(action, weighted, q_points, budget, stats)
 
 
@@ -387,29 +394,29 @@ def full_existence_step(action, anchors, obstacles, budget=None, stats=None):
 def replay_trace(action, weighted, q_points, trace, audit=None):
     """Rebuild the certificate word from a recorded trace, checking each step.
 
-    Verifies per level that the recorded escape clears Q, that every recorded
-    witness lands within eps/3 of its Q-point, and that the recorded case
-    matches what the recomputed data forces.  Returns the reproduced word;
+    Verifies per level that its pivot, moved back to P, is a point with that
+    eps no earlier level took, that the recorded escape clears Q, that every
+    recorded witness lands within eps/3 of its Q-point, and that the recorded
+    case matches what the recomputed data forces.  Returns the reproduced word;
     raises TraceReplayError on any inconsistency, such as a length other than
     |P|.  When ``audit`` is a list, appends {"restarts", "q_size"} per level.
     """
-    weighted = list(weighted)
+    unused = [(p, e) for p, e in weighted]  # the points of P no level has taken
     q_points = list(q_points)
-    if len(trace) != len(weighted):
-        raise TraceReplayError(f"{len(trace)} trace levels for {len(weighted)} points")
+    if len(trace) != len(unused):
+        raise TraceReplayError(f"{len(trace)} trace levels for {len(unused)} points")
     space = action.space
+    back = IDENTITY  # the word moving this level's points back to P
     steps = []
     for level in trace:  # descend: check each escape and witness, build Q'
         if audit is not None:
             audit.append({"restarts": level.restarts, "q_size": len(q_points)})
-        matches = [
-            i for i, (p, e) in enumerate(weighted) if p == level.pivot and e == level.eps
-        ]
-        if not matches:
-            raise TraceReplayError(f"recorded pivot {level.pivot!r} not in point set")
-        idx = matches[0]
-        pivot, eps = weighted[idx]
-        rest = weighted[:idx] + weighted[idx + 1 :]
+        pivot = level.pivot
+        try:
+            idx = unused.index((action.apply_word(back, pivot), level.eps))
+        except ValueError:
+            raise TraceReplayError(f"recorded pivot {pivot!r} not in point set") from None
+        eps = unused.pop(idx)[1]
         eps3 = Fraction(eps) / 3
 
         a = level.escape
@@ -427,7 +434,7 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
 
         steps.append((level, pivot, eps3, q_points, q0))
         q_points = _enlarge(action, q_points, q0, a)
-        weighted = [(action.apply_word(a, x), ex) for x, ex in rest]
+        back = compose(back, invert(a))
 
     h = IDENTITY
     for level, pivot, eps3, q_points, q0 in reversed(steps):  # ascend: compose h

@@ -362,6 +362,11 @@ def test_invalid_inputs_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "separate", "--in", str(bad))
     assert code == 3
 
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"space": "\xe9"}')
+    code, _, err = run(capsys, "separate", "--in", str(latin1))
+    assert code == 3 and err.startswith(f"invalid input: cannot read {latin1}")
+
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"space": {"kind": "discrete_shift"}}))
     code, _, err = run(capsys, "separate", "--in", str(incomplete))
@@ -639,17 +644,36 @@ def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message)
     assert err.count("\n") == 1
 
 
-def test_space_nested_980_deep_exits_3(tmp_path):
-    """A fresh interpreter decodes 980 nested scaled spaces; the nesting cap
-    refuses them before a distance call can recurse through every wrapper."""
+def _nested_space_file(tmp_path, wrappers):
+    """A separate document whose space nests ``wrappers`` scaled spaces."""
     space = (
-        '{"kind": "scaled", "factor": "2", "inner": ' * 980
+        '{"kind": "scaled", "factor": "2", "inner": ' * wrappers
         + json.dumps(Z1["space"])
-        + "}" * 980
+        + "}" * wrappers
     )
     rest = {key: value for key, value in VALID_SEPARATE.items() if key != "space"}
     infile = tmp_path / "nested.json"
     infile.write_text('{"space": ' + space + ", " + json.dumps(rest)[1:])
+    return infile
+
+
+def test_space_nested_200_deep_exits_3(capsys, tmp_path):
+    """200 nested scaled spaces decode; the nesting cap refuses them before a
+    distance call can recurse through every wrapper."""
+    infile = _nested_space_file(tmp_path, 200)
+    code, out, err = run(capsys, "separate", "--in", str(infile))
+    assert code == 3
+    assert out == ""
+    assert err == "invalid input: space nests more than 64 scaled/discrete wrappers\n"
+
+
+def test_json_nested_980_deep_exits_3_whatever_the_stack(capsys, tmp_path):
+    """The JSON depth cap refuses a 980-deep document before decoding it, in
+    this process under pytest's stack and in a fresh interpreter alike."""
+    infile = _nested_space_file(tmp_path, 980)
+    message = f"invalid input: bad JSON in {infile}: nested deeper than 256 levels\n"
+    code, out, err = run(capsys, "separate", "--in", str(infile))
+    assert (code, out, err) == (3, "", message)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-m", "orbitsep.cli", "separate", "--in", str(infile)],
@@ -657,11 +681,25 @@ def test_space_nested_980_deep_exits_3(tmp_path):
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert result.returncode == 3
-    assert result.stdout == ""
-    assert result.stderr == (
-        "invalid input: space nests more than 64 scaled/discrete wrappers\n"
-    )
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", message)
+
+
+def test_discrete_refuses_a_non_discrete_metric_when_checking_too(capsys, tmp_path):
+    """``discrete --in`` and ``discrete --check`` share one rule: on an l1
+    lattice both exit 3, even with a certificate ``separate`` made."""
+    weighted = tmp_path / "weighted.json"
+    doc = {**VALID_SEPARATE, "P": [{"point": [0], "eps": "1"}]}
+    weighted.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "separate", "--in", str(weighted))
+    assert code == 0
+    certfile = tmp_path / "cert.json"
+    certfile.write_text(out)
+    infile = tmp_path / "discrete.json"
+    infile.write_text(json.dumps(VALID_DISCRETE))
+    message = "separate_discrete needs a discrete metric (native or adapter)"
+    for extra in ([], ["--check", str(certfile)]):
+        code, out, err = run(capsys, "discrete", "--in", str(infile), *extra)
+        assert (code, out, err) == (3, "", f"invalid input: {message}\n")
 
 
 @pytest.mark.parametrize(

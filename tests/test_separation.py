@@ -1,4 +1,5 @@
 import json
+import math
 import types
 from fractions import Fraction
 
@@ -312,6 +313,37 @@ def test_replay_rejects_tampered_trace(z1_action):
         O.replay_trace(z1_action, P, Q, cert.trace)
 
 
+@pytest.mark.parametrize(
+    "edit, pivot",
+    [
+        (lambda act, trace: setattr(trace[1], "pivot", (-1000,)), (-1000,)),
+        # level 0's point, carried to level 1 by level 0's escape
+        (
+            lambda act, trace: setattr(
+                trace[1], "pivot", act.apply_word(trace[0].escape, trace[0].pivot)
+            ),
+            (0,),
+        ),
+        (lambda act, trace: setattr(trace[2], "eps", Fraction(2)), (94,)),
+        (lambda act, trace: trace.insert(1, trace.pop(2)), (94,)),
+        (lambda act, trace: setattr(trace[1], "pivot", act.step(1, (50,))), (51,)),
+    ],
+    ids=["not-in-p", "used-twice", "eps-mismatch", "levels-swapped", "moved-by-one"],
+)
+def test_checker_rejects_tampered_pivot(z1_action, edit, pivot):
+    P, Q = Z_RESTART["P"], Z_RESTART["Q"]
+    cert = O.separate_points(z1_action, P, Q, SMALL_BUDGET)
+    assert [level.pivot for level in cert.trace] == [(0,), (50,), (94,)]
+    assert cert.trace[0].escape == ()
+    edit(z1_action, cert.trace)
+    message = f"recorded pivot {pivot!r} not in point set"
+    with pytest.raises(TraceReplayError) as info:
+        O.replay_trace(z1_action, P, Q, cert.trace)
+    assert str(info.value) == message
+    problems = O.check_certificate(z1_action, P, Q, cert)
+    assert problems == [f"trace replay failed: {message}"]
+
+
 def test_replay_on_seeded_instances():
     master = O.SplitMix64(314)
     for _ in range(25):
@@ -342,6 +374,46 @@ def test_check_certificate_detects_corruption(z1_action):
     # and ratio, is one fault, reported once.
     identity = O.SeparationCertificate((), [((0,), 0)], Fraction(0), None)
     assert O.check_certificate(z1_action, P, Q, identity) == ["ratio 0 is below 1/3"]
+
+
+class _CountedWeight(Fraction):
+    """A weight that counts the comparisons made on it."""
+
+    comparisons = 0
+
+    def _counted(name):
+        def compare(self, other):
+            _CountedWeight.comparisons += 1
+            return getattr(Fraction, name)(self, other)
+
+        return compare
+
+    __lt__, __le__, __gt__, __ge__, __eq__ = map(
+        _counted, ["__lt__", "__le__", "__gt__", "__ge__", "__eq__"]
+    )
+    __hash__ = Fraction.__hash__
+
+
+def test_work_on_p_is_linear(z1_action, monkeypatch):
+    """P is ordered once and never moved: the solve and its check apply O(|P|)
+    words and compare weights O(|P| log |P|) times (|P|^2 / 2 each when
+    every level searched and moved the rest of P)."""
+    n = 500
+    P = [((3 * i,), _CountedWeight(1 + i % 3)) for i in range(n)]
+    calls = 0
+    apply_word = O.GeneratedAction.apply_word
+
+    def counted_apply_word(self, w, p):
+        nonlocal calls
+        calls += 1
+        return apply_word(self, w, p)
+
+    monkeypatch.setattr(O.GeneratedAction, "apply_word", counted_apply_word)
+    _CountedWeight.comparisons = 0
+    cert = O.separate_points(z1_action, P, [])
+    assert O.check_certificate(z1_action, P, [], cert) == []
+    assert calls <= 10 * n
+    assert _CountedWeight.comparisons <= 2 * n * math.log2(n)
 
 
 def test_certificate_json_roundtrip(z1_action):
