@@ -92,7 +92,7 @@ def _load_json(path):
         )
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4300 digits
         raise InvalidInputError(f"bad JSON in {path}: {exc}") from exc
 
 

@@ -9,11 +9,14 @@ arithmetic.
 """
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import InvalidInputError
 
 INF = math.inf
+# The one literal grammar; Python's 4300-digit int limit bounds each literal.
+_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def is_inf(x):
@@ -40,7 +43,8 @@ def check_positive(x, what):
 
 
 def parse_rational(value):
-    """Parse ``"p/q"``, ``"n"``, ``"inf"``, or a plain int into an exact value."""
+    """Parse ``"p/q"``, ``"n"`` (either with an optional ``-``), ``"inf"``, or
+    an int or Fraction into an exact value."""
     if value == "inf":
         return INF
     if isinstance(value, bool):
@@ -50,8 +54,11 @@ def parse_rational(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        if not _LITERAL.fullmatch(value):
+            raise InvalidInputError(f"bad rational literal {value!r}")
+        num, _, den = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"bad rational literal {value!r}") from exc
     raise InvalidInputError(f"expected a rational, got {type(value).__name__}")

@@ -177,9 +177,14 @@ def _partial_level(space, pivot, eps, stage, **extra):
     }
 
 
+def _pivot_order(weighted):
+    """P heaviest first, ties in input order: the order levels take pivots in."""
+    return sorted(weighted, key=lambda pe: pe[1], reverse=True)
+
+
 def _separate(action, weighted, q_points, budget, stats):
     space = action.space
-    order = sorted(weighted, key=lambda pe: pe[1], reverse=True)  # ties: input order
+    order = _pivot_order(weighted)
     frames = []  # (level, Q at that level, the word moving P to the level below)
     moved_by = IDENTITY
     while True:
@@ -394,29 +399,28 @@ def full_existence_step(action, anchors, obstacles, budget=None, stats=None):
 def replay_trace(action, weighted, q_points, trace, audit=None):
     """Rebuild the certificate word from a recorded trace, checking each step.
 
-    Verifies per level that its pivot, moved back to P, is a point with that
-    eps no earlier level took, that the recorded escape clears Q, that every
-    recorded witness lands within eps/3 of its Q-point, and that the recorded
-    case matches what the recomputed data forces.  Returns the reproduced word;
+    Recomputes the solver's two rule-made choices and compares them with each
+    level: the pivot and eps (the level's point of ``_pivot_order`` moved by
+    the escapes above it) and the case (``fallback`` at the first point of Q'
+    the pivot lands within eps/3 of, which needs a recorded witness, else
+    ``direct``).  Verifies the recorded searches: the escape clears Q and every
+    witness lands within eps/3 of its Q-point.  Returns the reproduced word;
     raises TraceReplayError on any inconsistency, such as a length other than
     |P|.  When ``audit`` is a list, appends {"restarts", "q_size"} per level.
     """
-    unused = [(p, e) for p, e in weighted]  # the points of P no level has taken
+    order = _pivot_order(weighted)
     q_points = list(q_points)
-    if len(trace) != len(unused):
-        raise TraceReplayError(f"{len(trace)} trace levels for {len(unused)} points")
+    if len(trace) != len(order):
+        raise TraceReplayError(f"{len(trace)} trace levels for {len(order)} points")
     space = action.space
-    back = IDENTITY  # the word moving this level's points back to P
+    moved_by = IDENTITY
     steps = []
-    for level in trace:  # descend: check each escape and witness, build Q'
+    for level, (p, eps) in zip(trace, order):  # descend: check each escape and witness
         if audit is not None:
             audit.append({"restarts": level.restarts, "q_size": len(q_points)})
-        pivot = level.pivot
-        try:
-            idx = unused.index((action.apply_word(back, pivot), level.eps))
-        except ValueError:
-            raise TraceReplayError(f"recorded pivot {pivot!r} not in point set") from None
-        eps = unused.pop(idx)[1]
+        pivot = action.apply_word(moved_by, p)
+        if (level.pivot, level.eps) != (pivot, eps):
+            raise TraceReplayError(f"recorded pivot {level.pivot!r} not in point set")
         eps3 = Fraction(eps) / 3
 
         a = level.escape
@@ -434,25 +438,19 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
 
         steps.append((level, pivot, eps3, q_points, q0))
         q_points = _enlarge(action, q_points, q0, a)
-        back = compose(back, invert(a))
+        moved_by = compose(a, moved_by)
 
     h = IDENTITY
     for level, pivot, eps3, q_points, q0 in reversed(steps):  # ascend: compose h
         ha = compose(h, level.escape)
-        image = action.apply_word(ha, pivot)
-        if level.case == "direct":
-            if first_within(space, image, q_points, eps3) is not None:
-                raise TraceReplayError("direct case recorded but pivot lands near Q")
-            h = ha
-        elif level.case == "fallback":
-            y = level.fallback_y
-            if y not in q0:
-                raise TraceReplayError("fallback member has no recorded witness")
-            if space.distance(image, y) >= eps3:
-                raise TraceReplayError("fallback case recorded but no violation at y")
-            h = compose(level.escape, compose(invert(q0[y]), ha))
-        else:
-            raise TraceReplayError(f"unknown trace case {level.case!r}")
+        y = first_within(space, action.apply_word(ha, pivot), q_points, eps3)
+        if y is not None and y not in q0:
+            raise TraceReplayError(f"pivot lands near {y!r}, which has no recorded witness")
+        case = "direct" if y is None else "fallback"
+        if (level.case, level.fallback_y) != (case, y):
+            recorded = f"{level.case!r} at {level.fallback_y!r}"
+            raise TraceReplayError(f"recorded case {recorded}, recomputed {case!r} at {y!r}")
+        h = ha if y is None else compose(level.escape, compose(invert(q0[y]), ha))
     return h
 
 
@@ -461,11 +459,13 @@ def check_certificate(action, weighted, q_points, cert):
 
     Recomputes every distance from the word alone and compares exactly with
     the stored values; when a trace is present, replays it and requires the
-    same word.
+    same word.  Raises InvalidInputError on the P and Q separate_points refuses.
     """
     problems = []
     weighted = list(weighted)
     q_points = list(q_points)
+    _check_weighted(action, weighted)
+    _check_points(action, q_points)
     try:
         achieved, ratio = evaluate_word(action, weighted, q_points, cert.word)
     except InvalidInputError as exc:

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -700,6 +701,98 @@ def test_discrete_refuses_a_non_discrete_metric_when_checking_too(capsys, tmp_pa
     for extra in ([], ["--check", str(certfile)]):
         code, out, err = run(capsys, "discrete", "--in", str(infile), *extra)
         assert (code, out, err) == (3, "", f"invalid input: {message}\n")
+
+
+def _identity_cert_for_twice(point):
+    """The identity word, with one direct level for each of two copies of
+    ``point`` (unit weights, Q empty)."""
+    level = {
+        "pivot": point,
+        "eps": "1",
+        "escape": [],
+        "q0": [],
+        "restarts": 0,
+        "case": "direct",
+        "fallback_y": None,
+    }
+    achieved = [[point, "inf"]] * 2
+    return {"status": "ok", "word": [], "achieved": achieved, "ratio": "inf", "trace": [level] * 2}
+
+
+Z1_SINGLE = json.loads(pathlib.Path(instance_path("z1_single.json")).read_text())
+SHIFT = {"space": {"kind": "discrete_shift"}, "generators": [{"kind": "shift"}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flag, certificate, message",
+    [
+        (
+            "separate",
+            {**Z1_SINGLE, "Q": [[0], [10], [0]]},
+            "--check",
+            Z1_CERT_DOC,
+            "duplicate point (0,) in Q",
+        ),
+        (
+            "separate",
+            {**Z1, "P": [{"point": [0], "eps": "1"}] * 2, "Q": []},
+            "--check",
+            _identity_cert_for_twice([0]),
+            "duplicate point (0,) in P",
+        ),
+        (
+            "discrete",
+            {**SHIFT, "P": [0, 0], "Q": []},
+            "--check",
+            _identity_cert_for_twice(0),
+            "duplicate point 0 in P",
+        ),
+        (
+            "oracle",
+            {**Z1_SINGLE, "Q": [[0], [10], [0]]},
+            "--certificate",
+            Z1_CERT_DOC,
+            "duplicate point (0,) in Q",
+        ),
+    ],
+    ids=["separate-Q", "separate-P", "discrete-P", "oracle-Q"],
+)
+def test_check_paths_refuse_what_the_solver_refuses(
+    capsys, tmp_path, command, doc, flag, certificate, message
+):
+    """A document the solver refuses with exit 3 is refused as well when a
+    certificate comes with it to be checked."""
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps(doc))
+    certfile = tmp_path / "cert.json"
+    certfile.write_text(json.dumps(certificate))
+    expected = (3, "", f"invalid input: {message}\n")
+    assert run(capsys, command, "--in", str(infile)) == expected
+    assert run(capsys, command, "--in", str(infile), flag, str(certfile)) == expected
+
+
+@pytest.mark.parametrize("eps", ["1e10000000", "1.5", "1e3", "+3", " 3/2 ", "1_000", "1/0"])
+def test_rational_literals_outside_the_grammar_exit_3_promptly(capsys, tmp_path, eps):
+    """Only ``-?n(/m)?`` and ``inf`` are rational literals; an exponent form
+    such as "1e10000000" (eleven bytes for a four-MiB integer) is refused
+    before any work is done."""
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps({**VALID_SEPARATE, "P": [{"point": [0], "eps": eps}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "separate", "--in", str(infile))
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (3, "", f"invalid input: bad rational literal {eps!r}\n")
+
+
+def test_json_integer_past_4300_digits_exits_3(capsys, tmp_path):
+    """Python refuses to convert a decimal integer longer than 4300 digits;
+    the CLI reports it as bad JSON instead of a traceback."""
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps(VALID_SEPARATE).replace("[[0]]", "[[" + "9" * 4301 + "]]"))
+    code, out, err = run(capsys, "separate", "--in", str(infile))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"invalid input: bad JSON in {infile}: ")
+    assert "4300 digits" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -314,6 +314,44 @@ def test_replay_rejects_tampered_trace(z1_action):
 
 
 @pytest.mark.parametrize(
+    "edit",
+    [
+        lambda trace: setattr(trace[0], "fallback_y", (3,)),
+        lambda trace: setattr(trace[0], "fallback_y", None),
+        lambda trace: setattr(trace[0], "case", "direct"),
+        lambda trace: setattr(trace[1], "case", "fallback"),
+        lambda trace: setattr(trace[1], "fallback_y", (0,)),
+        lambda trace: trace[0].q0.__setitem__(1, ((3,), (1, 1, 1, 1))),
+        lambda trace: trace[0].q0.pop(0),
+        lambda trace: setattr(trace[0], "case", "sideways"),
+    ],
+    ids=[
+        "fallback-at-another-q-point",
+        "fallback-at-none",
+        "fallback-to-direct",
+        "direct-to-fallback",
+        "direct-with-fallback-y",
+        "witness-one-letter-longer",
+        "q0-entry-dropped",
+        "unknown-case",
+    ],
+)
+def test_checker_rejects_tampered_fallback_trace(z1_action, edit):
+    """The checker recomputes each level's case and fallback member and
+    verifies each witness, so every edit of them is caught."""
+    P, Q = Z_FALLBACK["P"], Z_FALLBACK["Q"]
+    cert = O.separate_points(z1_action, P, Q, SMALL_BUDGET)
+    assert [(level.case, level.fallback_y) for level in cert.trace] == [
+        ("fallback", (0,)),
+        ("direct", None),
+    ]
+    assert cert.trace[0].q0 == [((0,), ()), ((3,), (1, 1, 1))]
+    edit(cert.trace)
+    problems = O.check_certificate(z1_action, P, Q, cert)
+    assert len(problems) == 1 and problems[0].startswith("trace replay failed: ")
+
+
+@pytest.mark.parametrize(
     "edit, pivot",
     [
         (lambda act, trace: setattr(trace[1], "pivot", (-1000,)), (-1000,)),
@@ -394,12 +432,29 @@ class _CountedWeight(Fraction):
     __hash__ = Fraction.__hash__
 
 
+class _CountedPoint(tuple):
+    """A point that counts the equality tests made on it."""
+
+    tests = 0
+
+    def __eq__(self, other):
+        _CountedPoint.tests += 1
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        _CountedPoint.tests += 1
+        return tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
 def test_work_on_p_is_linear(z1_action, monkeypatch):
     """P is ordered once and never moved: the solve and its check apply O(|P|)
     words and compare weights O(|P| log |P|) times (|P|^2 / 2 each when
-    every level searched and moved the rest of P)."""
+    every level searched and moved the rest of P), and the check tests O(|P|)
+    points for equality (it recomputes each pivot, not searches P for it)."""
     n = 500
-    P = [((3 * i,), _CountedWeight(1 + i % 3)) for i in range(n)]
+    P = [(_CountedPoint((3 * i,)), _CountedWeight(1 + i % 3)) for i in range(n)]
     calls = 0
     apply_word = O.GeneratedAction.apply_word
 
@@ -411,7 +466,9 @@ def test_work_on_p_is_linear(z1_action, monkeypatch):
     monkeypatch.setattr(O.GeneratedAction, "apply_word", counted_apply_word)
     _CountedWeight.comparisons = 0
     cert = O.separate_points(z1_action, P, [])
+    _CountedPoint.tests = 0
     assert O.check_certificate(z1_action, P, [], cert) == []
+    assert _CountedPoint.tests <= 10 * n
     assert calls <= 10 * n
     assert _CountedWeight.comparisons <= 2 * n * math.log2(n)
 
