@@ -6,6 +6,9 @@ The single non-finite value is ``INF``, used as the distance between a point
 set and the empty set (and as the ratio of an empty certificate).  ``INF`` is
 ``math.inf``, which compares exactly against any rational; it is never used in
 arithmetic.
+
+Code that only compares ratios (``evaluate_word``, the oracle's ``rate``)
+keeps each as an integer pair and compares pairs by cross-multiplying.
 """
 
 import math
@@ -17,6 +20,9 @@ from .errors import InvalidInputError
 INF = math.inf
 # The one literal grammar; Python's 4300-digit int limit bounds each literal.
 _LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_EXACT = (Fraction, int)
+# A refused literal is echoed up to this many characters, then its length.
+_SHOWN = 40
 
 
 def is_inf(x):
@@ -25,9 +31,8 @@ def is_inf(x):
 
 def check_int(x, what, minimum=None):
     """``x`` once it is an int, not a bool, and at least ``minimum`` if given."""
-    if not isinstance(x, int) or isinstance(x, bool) or (
-        minimum is not None and x < minimum
-    ):
+    exact = type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+    if not exact or (minimum is not None and x < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise InvalidInputError(f"{what} must be an int{bound}, got {x!r}")
     return x
@@ -35,8 +40,8 @@ def check_int(x, what, minimum=None):
 
 def check_positive(x, what):
     """``x`` once it is a positive int or Fraction: not a bool, a float or INF."""
-    exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-    if not exact or x <= 0:
+    exact = type(x) in _EXACT or isinstance(x, _EXACT) and not isinstance(x, bool)
+    if not exact or x.numerator <= 0:  # a Fraction's denominator is positive
         shown = x if exact else repr(x)  # "3/2", not "Fraction(3, 2)"
         raise InvalidInputError(f"{what} must be a positive rational, got {shown}")
     return x
@@ -55,13 +60,22 @@ def parse_rational(value):
         return value
     if isinstance(value, str):
         if not _LITERAL.fullmatch(value):
-            raise InvalidInputError(f"bad rational literal {value!r}")
-        num, _, den = value.partition("/")
+            raise _bad_literal(value)
+        num, slash, den = value.partition("/")
         try:
-            return Fraction(int(num), int(den or 1))
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"bad rational literal {value!r}") from exc
+            raise _bad_literal(value) from exc
     raise InvalidInputError(f"expected a rational, got {type(value).__name__}")
+
+
+def _bad_literal(value):
+    if len(value) <= _SHOWN:
+        return InvalidInputError(f"bad rational literal {value!r}")
+    shown = value[:_SHOWN] + "…"
+    return InvalidInputError(
+        f"bad rational literal {shown!r} ({len(value)} characters)"
+    )
 
 
 def format_rational(x):
@@ -73,10 +87,3 @@ def format_rational(x):
     if isinstance(x, Fraction):
         return str(x)
     raise InvalidInputError(f"not an exact rational: {x!r}")
-
-
-def ratio_of(dist, eps):
-    """Exact ``dist / eps``; INF distances give an INF ratio."""
-    if is_inf(dist):
-        return INF
-    return Fraction(dist) / Fraction(eps)

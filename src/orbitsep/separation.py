@@ -40,7 +40,7 @@ from .errors import (
     BudgetExhaustedError, InvalidInputError, NotIsometricError, TraceReplayError
 )
 from .rationals import (
-    INF, check_int, check_positive, format_rational, is_inf, parse_rational, ratio_of
+    INF, check_int, check_positive, format_rational, is_inf, parse_rational
 )
 from .spaces import (
     distance_to_set,
@@ -240,17 +240,20 @@ def _separate(action, weighted, q_points, budget, stats):
 
 
 def evaluate_word(action, weighted, q_points, word):
-    """Per-point distances d(word.p, Q) and the worst achieved/eps ratio."""
+    """Per-point distances d(word.p, Q) and the worst achieved/eps ratio (INF
+    when P or Q is empty), compared as cross-multiplied integer pairs."""
     space = action.space
     achieved = []
-    ratio = INF
+    num, den = 1, 0  # INF
     for p, eps in weighted:
+        check_positive(eps, "weight")
         d = distance_to_set(space, action.apply_word(word, p), q_points)
         achieved.append((p, d))
-        r = ratio_of(d, eps)
-        if r < ratio:
-            ratio = r
-    return achieved, ratio
+        if q_points:
+            n, m = d.numerator * eps.denominator, d.denominator * eps.numerator
+            if n * den < num * m:
+                num, den = n, m
+    return achieved, Fraction(num, den) if den else INF
 
 
 def separate_points(action, weighted, q_points, budget=None, stats=None):
@@ -403,10 +406,12 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
     level: the pivot and eps (the level's point of ``_pivot_order`` moved by
     the escapes above it) and the case (``fallback`` at the first point of Q'
     the pivot lands within eps/3 of, which needs a recorded witness, else
-    ``direct``).  Verifies the recorded searches: the escape clears Q and every
-    witness lands within eps/3 of its Q-point.  Returns the reproduced word;
-    raises TraceReplayError on any inconsistency, such as a length other than
-    |P|.  When ``audit`` is a list, appends {"restarts", "q_size"} per level.
+    ``direct``).  Verifies the recorded searches: the escape clears Q, every
+    witness lands within eps/3 of its Q-point, and no level records more
+    restarts than Q0 members, since each restart adds one.  Returns the
+    reproduced word; raises TraceReplayError on any inconsistency, such as a
+    length other than |P|.  When ``audit`` is a list, appends {"restarts",
+    "q_size"} per level.
     """
     order = _pivot_order(weighted)
     q_points = list(q_points)
@@ -421,6 +426,8 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
         pivot = action.apply_word(moved_by, p)
         if (level.pivot, level.eps) != (pivot, eps):
             raise TraceReplayError(f"recorded pivot {level.pivot!r} not in point set")
+        if level.restarts > len(level.q0):  # each restart records one Q0 member
+            raise TraceReplayError(f"{level.restarts} restarts, {len(level.q0)} Q0 members")
         eps3 = Fraction(eps) / 3
 
         a = level.escape

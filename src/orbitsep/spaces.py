@@ -22,6 +22,7 @@ change once computed, so spaces are safe to share between threads.
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import repeat
 from operator import sub
 
 from .errors import InvalidInputError
@@ -80,7 +81,8 @@ class ZdSpace(MetricSpace):
         if not isinstance(p, tuple) or len(p) != self.dim:
             raise InvalidInputError(f"expected a {self.dim}-tuple of ints, got {p!r}")
         for c in p:
-            check_int(c, "lattice coordinate")
+            if type(c) is not int:
+                check_int(c, "lattice coordinate")
 
     def point_to_json(self, p):
         return list(p)
@@ -415,7 +417,7 @@ def first_within(space, x, points, r):
 
 def distance_to_set(space, x, points):
     """min d(x, y) over y in ``points``; INF when ``points`` is empty."""
-    return min((space.distance(x, y) for y in points), default=INF)
+    return min(map(space.distance, repeat(x), points), default=INF)
 
 
 def greedy_epsilon_net(space, points, eps):

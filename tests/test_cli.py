@@ -784,6 +784,32 @@ def test_rational_literals_outside_the_grammar_exit_3_promptly(capsys, tmp_path,
     assert (code, out, err) == (3, "", f"invalid input: bad rational literal {eps!r}\n")
 
 
+@pytest.mark.parametrize("eps", ["9" * 5000, "x" * 5000], ids=["digits", "letters"])
+def test_long_refused_literal_is_echoed_in_part(capsys, tmp_path, eps):
+    """A refused literal past 40 characters is echoed by its first 40 and its
+    length, on one short line."""
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps({**VALID_SEPARATE, "P": [{"point": [0], "eps": eps}]}))
+    code, out, err = run(capsys, "separate", "--in", str(infile))
+    shown = eps[:40] + "…"
+    assert (code, out) == (3, "")
+    assert err == f"invalid input: bad rational literal {shown!r} (5000 characters)\n"
+    assert len(err.encode()) < 200
+
+
+def test_check_refuses_more_restarts_than_q0_members(capsys, tmp_path):
+    """Each restart records one Q0 member, so a level with none cannot have
+    restarted."""
+    assert Z1_CERT_DOC["trace"][0]["q0"] == []
+    certfile = tmp_path / "cert.json"
+    certfile.write_text(json.dumps(_trace(restarts=1)))
+    code, out, _ = run(
+        capsys, "separate", "--in", instance_path("z1_single.json"), "--check", str(certfile)
+    )
+    assert code == 5
+    assert json.loads(out)["problems"] == ["trace replay failed: 1 restarts, 0 Q0 members"]
+
+
 def test_json_integer_past_4300_digits_exits_3(capsys, tmp_path):
     """Python refuses to convert a decimal integer longer than 4300 digits;
     the CLI reports it as bad JSON instead of a traceback."""

@@ -216,6 +216,14 @@ def _inexact(name, call, message):
             )
             for w, shown in ((0.5, "0.5"), (O.INF, "inf"), (0, "0"), (True, "True"))
         ),
+        *(
+            _inexact(
+                f"evaluate-weight-{shown}",
+                lambda a, s, w=w: O.evaluate_word(a, [((0,), w)], [(0,)], ()),
+                f"weight must be a positive rational, got {shown}",
+            )
+            for w, shown in ((0.5, "0.5"), (O.INF, "inf"), (True, "True"))
+        ),
         _inexact(
             "sequence-eps-bool",
             lambda a, s: O.separated_sequence(a, [(0,)], True, 2, stats=s),
@@ -324,6 +332,8 @@ def test_replay_rejects_tampered_trace(z1_action):
         lambda trace: trace[0].q0.__setitem__(1, ((3,), (1, 1, 1, 1))),
         lambda trace: trace[0].q0.pop(0),
         lambda trace: setattr(trace[0], "case", "sideways"),
+        lambda trace: setattr(trace[1], "restarts", 1),
+        lambda trace: setattr(trace[0], "restarts", 3),
     ],
     ids=[
         "fallback-at-another-q-point",
@@ -334,11 +344,14 @@ def test_replay_rejects_tampered_trace(z1_action):
         "witness-one-letter-longer",
         "q0-entry-dropped",
         "unknown-case",
+        "restart-with-no-q0-member",
+        "more-restarts-than-q0-members",
     ],
 )
 def test_checker_rejects_tampered_fallback_trace(z1_action, edit):
-    """The checker recomputes each level's case and fallback member and
-    verifies each witness, so every edit of them is caught."""
+    """The checker recomputes each level's case and fallback member, verifies
+    each witness and bounds the restarts by the Q0 members, so every edit of
+    them is caught."""
     P, Q = Z_FALLBACK["P"], Z_FALLBACK["Q"]
     cert = O.separate_points(z1_action, P, Q, SMALL_BUDGET)
     assert [(level.case, level.fallback_y) for level in cert.trace] == [
@@ -473,6 +486,26 @@ def test_work_on_p_is_linear(z1_action, monkeypatch):
     assert _CountedWeight.comparisons <= 2 * n * math.log2(n)
 
 
+def test_evaluate_word_builds_one_fraction(z1_action, monkeypatch):
+    """Rating a word keeps each d/eps as an integer pair and builds only the
+    Fraction it returns (three per point when each ratio was a Fraction)."""
+    P = [((3 * i,), Fraction(1 + i % 3, 2)) for i in range(50)]
+    Q = [(1,), (7,), (-4,)]
+    built = 0
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    achieved, ratio = O.evaluate_word(z1_action, P, Q, (1, 1))
+    assert built <= 1
+    monkeypatch.undo()
+    assert ratio == min(Fraction(d) / eps for (_, d), (_, eps) in zip(achieved, P))
+
+
 def test_certificate_json_roundtrip(z1_action):
     P = Z_FALLBACK["P"]
     Q = Z_FALLBACK["Q"]
@@ -598,6 +631,39 @@ def _q0_actions():
             ],
         ),
     }
+
+
+_WEIGHTS = st.one_of(
+    st.integers(1, 9), st.fractions(Fraction(1, 9), 9, max_denominator=9)
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_q0_actions()))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_evaluate_word_matches_fraction_reference(kind, data):
+    """The integer-pair rating returns the achieved list and a ratio equal to,
+    and of the same type as, the worst Fraction(d) / Fraction(eps); INF when P
+    or Q is empty."""
+    space, gens = _q0_actions()[kind]
+    action = O.GeneratedAction(space, gens)
+    rng = O.SplitMix64(data.draw(st.integers(0, 2**32)))
+    sample = lambda: O.sample_point(space, rng, coord_max=8, word_max=6)
+    weighted = [(sample(), data.draw(_WEIGHTS)) for _ in range(data.draw(st.integers(0, 5)))]
+    q_points = [sample() for _ in range(data.draw(st.integers(0, 5)))]
+    letters = [s for s, _ in action.moves()]
+    word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=6)))
+    if weighted and data.draw(st.booleans()):  # a zero distance
+        q_points.append(action.apply_word(word, weighted[0][0]))
+    achieved = []
+    for p, _ in weighted:
+        image = action.apply_word(word, p)
+        achieved.append((p, min((space.distance(image, y) for y in q_points), default=O.INF)))
+    ratios = (Fraction(d) / Fraction(eps) for (_, d), (_, eps) in zip(achieved, weighted))
+    ratio = min(ratios, default=O.INF) if q_points else O.INF
+    got_achieved, got_ratio = O.evaluate_word(action, weighted, q_points, word)
+    assert got_achieved == achieved
+    assert got_ratio == ratio and type(got_ratio) is type(ratio)
 
 
 @pytest.mark.parametrize("kind", sorted(_q0_actions()))
