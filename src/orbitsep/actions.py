@@ -15,6 +15,7 @@ it.  Every search is bounded by an ``OrbitBudget``; running out of budget
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add, sub
 
 from .errors import BudgetExhaustedError, InvalidInputError
@@ -207,9 +208,8 @@ def _run_fold(step, doc=None):
 
     This is the one place a word is split into runs and its letters are
     checked: a letter that names no generator raises InvalidInputError.
-    Generators are read from ``generators``, so a replaced one is the one
-    applied.  ``apply_word`` is such a method itself, not a call to one, so
-    applying a word to one point costs no extra call.
+    ``apply_word`` is such a method itself, not a call to one, so applying a
+    word to one point costs no extra call.
     """
 
     def fold(self, w, acc):
@@ -257,12 +257,12 @@ class GeneratedAction:
     ``power(p, k)``, the k-th power applied to p for a signed ``k != 0``;
     the group itself is the set of words over the generators.  Each
     generator's ``check(space)`` raises InvalidInputError unless it can act
-    on the space; whether it actually preserves distances is checked by
-    :func:`verify_isometry`.
+    on the space, and the generators are fixed once checked; whether they
+    actually preserve distances is checked by :func:`verify_isometry`.
     """
 
     def __init__(self, space, generators):
-        generators = list(generators)
+        generators = tuple(generators)
         if not generators:
             raise InvalidInputError("generator list must be nonempty")
         for gen in generators:
@@ -278,11 +278,7 @@ class GeneratedAction:
         return gen.forward(p) if s > 0 else gen.backward(p)
 
     def moves(self):
-        """[(s, map of signed generator s)] in expansion order.
-
-        Read from ``generators`` on every call, so a generator replaced after
-        construction is the one applied.
-        """
+        """[(s, map of signed generator s)] in expansion order."""
         return [
             (s, gen.forward if s > 0 else gen.backward)
             for i, gen in enumerate(self.generators, 1)
@@ -385,18 +381,10 @@ def find_escape(action, p, q_points, eps, budget=DEFAULT_BUDGET, stats=None):
     check_positive(eps, "eps")
     space = action.space
     explored = 0
-    # Consecutive BFS points are near each other, so the Q-point that ruled
-    # out the previous candidate usually rules out the next one too; testing
-    # it first cannot change the outcome of the all-clear conjunction.
-    last_violator = ()
     for x, w in orbit_stream(action, p, budget, stats):
         explored += 1
-        if first_within(space, x, last_violator, eps) is not None:
-            continue
-        violator = first_within(space, x, q_points, eps)
-        if violator is None:
+        if first_within(space, x, q_points, eps) is None:
             return w
-        last_violator = (violator,)
     raise BudgetExhaustedError(
         f"no escape at radius {eps} after exploring {explored} orbit points",
         explored=explored,
@@ -454,40 +442,38 @@ class IsometryViolation:
 
 
 def verify_isometry(action, pairs=()):
-    """Check d(s.x, s.y) == d(x, y) for every signed generator on each pair.
+    """Check d(s.x, s.y) == d(x, y) for every signed generator on each pair,
+    and that backward inverts forward on each pair's first point.
 
-    Also checks that backward really inverts forward on the sampled points.
-    Exhaustive over all vertex pairs when the space is finite with at most
-    64 points.  Violations are returned, not raised.
+    On a finite space of at most 64 points every pair of points is checked
+    instead of the given ones, which must still be points of the space.
+    Each violation is reported once, in the order found; they are returned,
+    not raised.
     """
     space = action.space
-    violations = []
-
-    def check_pair(x, y):
-        dxy = space.distance(x, y)
-        for s, _ in action.moves():
-            moved = space.distance(action.step(s, x), action.step(s, y))
-            if moved != dxy:
-                violations.append(
-                    IsometryViolation(
-                        "distance", s, (x, y), f"d={dxy} moved to {moved}"
-                    )
-                )
-        for i in range(1, len(action.generators) + 1):
-            if action.step(-i, action.step(i, x)) != x:
-                violations.append(
-                    IsometryViolation("inverse", i, (x,), "backward(forward(x)) != x")
-                )
-
-    for x, y in pairs:
-        space.check_point(x)
-        space.check_point(y)
-        check_pair(x, y)
-
+    pairs = list(pairs)
+    for pair in pairs:
+        for x in pair:
+            space.check_point(x)
     universe = space.universe()
     if universe is not None and len(universe) <= EXHAUSTIVE_LIMIT:
-        for x in universe:
-            for y in universe:
-                check_pair(x, y)
+        pairs = product(universe, repeat=2)
+    found = {}  # (kind, generator, points) -> its violation
 
-    return violations
+    def report(kind, s, points, detail):
+        found.setdefault((kind, s, points), IsometryViolation(kind, s, points, detail))
+
+    moves = action.moves()
+    inverted = set()
+    for x, y in pairs:
+        dxy = space.distance(x, y)
+        for s, move in moves:
+            moved = space.distance(move(x), move(y))
+            if moved != dxy:
+                report("distance", s, (x, y), f"d={dxy} moved to {moved}")
+        if x not in inverted:
+            inverted.add(x)
+            for i, gen in enumerate(action.generators, 1):
+                if gen.backward(gen.forward(x)) != x:
+                    report("inverse", i, (x,), "backward(forward(x)) != x")
+    return list(found.values())

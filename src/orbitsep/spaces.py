@@ -22,7 +22,7 @@ change once computed, so spaces are safe to share between threads.
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import product, repeat
 from operator import sub
 
 from .errors import InvalidInputError
@@ -471,56 +471,45 @@ def validate_metric(space, triples=()):
     """Check metric axioms on the given triples; exhaustive on small spaces.
 
     Every (x, y, z) is checked for identity, positivity, symmetry, and the
-    triangle inequality in all three arrangements.  When the space has a
-    finite universe of at most 64 points, all of its triples are checked in
-    addition to the sample.  Violations are returned, not raised.
+    triangle inequality in all three arrangements.  On a finite space of at
+    most 64 points all of its triples are checked instead of the given ones,
+    which must still be points of the space.  Each violation is reported
+    once, in the order found; they are returned, not raised.
     """
-    violations = []
+    triples = list(triples)
+    for triple in triples:
+        for x in triple:
+            space.check_point(x)
+    universe = space.universe()
+    if universe is not None and len(universe) <= EXHAUSTIVE_LIMIT:
+        triples = product(universe, repeat=3)
+    found = {}  # (axiom, points) -> its violation
+
+    def report(axiom, points, detail):
+        found.setdefault((axiom, points), MetricViolation(axiom, points, detail))
+
     checked_pairs = set()
-
-    def check_pair(x, y):
-        key = (x, y)
-        if key in checked_pairs:
-            return
-        checked_pairs.add(key)
-        dxy = space.distance(x, y)
-        dyx = space.distance(y, x)
-        if dxy != dyx:
-            violations.append(MetricViolation("symmetry", (x, y), f"d={dxy} vs {dyx}"))
-        if x == y:
-            if dxy != 0:
-                violations.append(MetricViolation("identity", (x, y), f"d(x,x)={dxy}"))
-        elif dxy <= 0:
-            violations.append(MetricViolation("positivity", (x, y), f"d={dxy}"))
-
-    def check_triple(x, y, z):
-        check_pair(x, y)
-        check_pair(y, z)
-        check_pair(x, z)
+    for x, y, z in triples:
         dxy = space.distance(x, y)
         dyz = space.distance(y, z)
         dxz = space.distance(x, z)
+        for a, b, dab in ((x, y, dxy), (y, z, dyz), (x, z, dxz)):
+            if (a, b) in checked_pairs:
+                continue
+            checked_pairs.add((a, b))
+            dba = space.distance(b, a)
+            if dab != dba:
+                report("symmetry", (a, b), f"d={dab} vs {dba}")
+            if a == b:
+                if dab != 0:
+                    report("identity", (a, b), f"d(x,x)={dab}")
+            elif dab <= 0:
+                report("positivity", (a, b), f"d={dab}")
         for a, b, c, da, db, dc in (
             (x, z, y, dxz, dxy, dyz),
             (x, y, z, dxy, dxz, dyz),
             (y, z, x, dyz, dxy, dxz),
         ):
             if da > db + dc:
-                violations.append(
-                    MetricViolation("triangle", (a, c, b), f"{da} > {db} + {dc}")
-                )
-
-    for x, y, z in triples:
-        space.check_point(x)
-        space.check_point(y)
-        space.check_point(z)
-        check_triple(x, y, z)
-
-    universe = space.universe()
-    if universe is not None and len(universe) <= EXHAUSTIVE_LIMIT:
-        for x in universe:
-            for y in universe:
-                for z in universe:
-                    check_triple(x, y, z)
-
-    return violations
+                report("triangle", (a, c, b), f"{da} > {db} + {dc}")
+    return list(found.values())

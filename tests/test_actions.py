@@ -47,19 +47,21 @@ def test_bad_letter_raises(zd2_action, letter):
         zd2_action.apply_word((1, letter, -2), (0, 0))
 
 
-def test_replaced_generator_is_applied():
+def test_generators_are_fixed_at_construction():
+    """Each generator is checked against the space once, when the action is
+    built, and cannot be replaced afterwards."""
     act = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))])
-    act.generators[0] = O.Translation((3,))
-    got = list(islice(O.orbit_stream(act, (0,)), 5))
-    assert got == [
+    with pytest.raises(TypeError):
+        act.generators[0] = O.Translation((3,))
+    with pytest.raises(InvalidInputError):
+        O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((3, 0))])
+    assert list(islice(O.orbit_stream(act, (0,)), 3)) == [
         ((0,), ()),
-        ((3,), (1,)),
-        ((-3,), (-1,)),
-        ((6,), (1, 1)),
-        ((-6,), (-1, -1)),
+        ((1,), (1,)),
+        ((-1,), (-1,)),
     ]
-    assert act.apply_word((1, 1), (0,)) == (6,)
-    assert act.step(-1, (0,)) == (-3,)
+    assert act.apply_word((1, 1), (0,)) == (2,)
+    assert act.step(-1, (0,)) == (-1,)
 
 
 def _fold_step(action, w, p):
@@ -281,6 +283,9 @@ def test_verify_isometry_flags_bad_inverse(z1_action):
     class Broken:
         kind = "translation"
 
+        def check(self, space):
+            pass
+
         def forward(self, p):
             return (p[0] + 1,)
 
@@ -290,10 +295,48 @@ def test_verify_isometry_flags_bad_inverse(z1_action):
         def describe(self):
             return "broken"
 
-    act = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))])
-    act.generators[0] = Broken()
+    act = O.GeneratedAction(O.ZdSpace(1, "l1"), [Broken()])
     violations = O.verify_isometry(act, [((0,), (4,))])
     assert any(v.kind == "inverse" for v in violations)
+
+
+class _RotateTwice:
+    """A 4-cycle rotation whose backward rotates forward again: both maps are
+    isometries, but backward does not invert forward at any vertex."""
+
+    kind = "perm"
+
+    def check(self, space):
+        pass
+
+    def forward(self, p):
+        return (p + 1) % 4
+
+    backward = forward
+
+
+def test_verify_isometry_reports_each_bad_inverse_once(c4_action):
+    act = O.GeneratedAction(c4_action.space, [_RotateTwice()])
+    violations = O.verify_isometry(act)
+    assert [(v.kind, v.generator_index, v.points) for v in violations] == [
+        ("inverse", 1, (x,)) for x in range(4)
+    ]
+
+
+def test_verify_isometry_sweeps_a_small_space_instead_of_the_sample():
+    """The sample is still checked to be points of the space, but on a space
+    of at most 64 points every pair is checked instead of it."""
+    space = O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]])
+    bad = O.GeneratedAction(space, [O.VertexPermutation((1, 0, 2, 3))])
+    with pytest.raises(InvalidInputError):
+        O.verify_isometry(bad, [(0, 7)])
+
+    def found(pairs):
+        return [repr(v) for v in O.verify_isometry(bad, pairs)]
+
+    assert found([(0, 1)]) == found([(2, 3), (3, 3), (0, 2)]) == found(())
+    keys = [(v.kind, v.generator_index, v.points) for v in O.verify_isometry(bad)]
+    assert len(keys) == len(set(keys)) == 16
 
 
 def test_action_validation():

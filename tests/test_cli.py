@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -219,11 +220,16 @@ def test_verify_clean(capsys):
 
 
 def test_verify_bad_permutation(capsys):
+    """Each of the swap's 16 moved distances is reported once."""
     code, out, _ = run(capsys, "verify", "--in", instance_path("verify_c4_bad.json"))
     assert code == 4
     payload = json.loads(out)
     assert payload["status"] == "violations"
-    assert payload["isometry_violations"]
+    keys = [
+        (v["kind"], v["generator"], tuple(v["points"]))
+        for v in payload["isometry_violations"]
+    ]
+    assert len(keys) == len(set(keys)) == 16
 
 
 def _path_graph_with_perm(perm, **fields):
@@ -414,13 +420,42 @@ VERIFY_C4_BAD = json.loads(pathlib.Path(instance_path("verify_c4_bad.json")).rea
 RESTART = json.loads(pathlib.Path(instance_path("restart.json")).read_text())
 
 
-def _restart_cert_with_witness(witness):
-    """restart's golden certificate with its first Q0 witness replaced."""
-    cert = json.loads(
-        (pathlib.Path(Z1_CERT).parent / "restart.out").read_text(encoding="utf-8")
-    )
-    cert["trace"][0]["q0"][0]["witness"] = witness
+RESTART_CERT = json.loads(
+    (pathlib.Path(Z1_CERT).parent / "restart.out").read_text(encoding="utf-8")
+)
+SHIFT_PAIR = json.loads(pathlib.Path(instance_path("shift_pair.json")).read_text())
+SHIFT_PAIR_CERT = json.loads(
+    (pathlib.Path(Z1_CERT).parent / "shift_pair.out").read_text(encoding="utf-8")
+)
+
+
+def _edited(cert, path, value):
+    """A copy of ``cert`` with the field at the key ``path`` set to ``value``."""
+    cert = copy.deepcopy(cert)
+    *parents, last = path
+    node = cert
+    for key in parents:
+        node = node[key]
+    node[last] = value
     return cert
+
+
+def _restart_cert(path, value):
+    """restart's golden certificate with one field replaced."""
+    return _edited(RESTART_CERT, path, value)
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+# A letter naming no generator: at the front of the word, in level 0's
+# escape, and in a Q0 witness.
+LETTER_9 = {
+    "word": (("word",), [9] + RESTART_CERT["word"]),
+    "escape": (("trace", 0, "escape"), [9]),
+    "witness": (("trace", 0, "q0", 0, "witness"), [1, 1, 9, -1]),
+}
 
 
 def _probe(name, command, doc, *extra, message):
@@ -606,8 +641,45 @@ def _probe(name, command, doc, *extra, message):
             "separate",
             RESTART,
             "--check",
-            _restart_cert_with_witness([1, 1, 9, -1]),
+            _restart_cert(*LETTER_9["witness"]),
             message="generator index 9 out of range",
+        ),
+        *(
+            _probe(
+                f"{where}-letter-out-of-range-{command}",
+                command,
+                RESTART,
+                flag,
+                _restart_cert(*LETTER_9[where]),
+                message="generator index 9 out of range",
+            )
+            for where in LETTER_9
+            for command, flag in [("separate", "--check"), ("oracle", "--certificate")]
+            if (where, command) != ("witness", "separate")
+        ),
+        _probe(
+            "word-letter-out-of-range-discrete",
+            "discrete",
+            SHIFT_PAIR,
+            "--check",
+            _edited(SHIFT_PAIR_CERT, ("word",), [9] + SHIFT_PAIR_CERT["word"]),
+            message="generator index 9 out of range",
+        ),
+        _probe(
+            "trace-level-without-escape",
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert(("trace", 0), _without(RESTART_CERT["trace"][0], "escape")),
+            message="malformed trace level",
+        ),
+        _probe(
+            "certificate-without-ratio",
+            "separate",
+            RESTART,
+            "--check",
+            _without(RESTART_CERT, "ratio"),
+            message="malformed certificate object",
         ),
         _probe(
             "verify-negative-samples",
@@ -795,6 +867,92 @@ def test_long_refused_literal_is_echoed_in_part(capsys, tmp_path, eps):
     assert (code, out) == (3, "")
     assert err == f"invalid input: bad rational literal {shown!r} (5000 characters)\n"
     assert len(err.encode()) < 200
+
+
+ACHIEVED = RESTART_CERT["achieved"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, flag, certificate, problems",
+    [
+        (
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert(("achieved",), ACHIEVED[1:]),
+            ["stored achieved list is missing point (0,)"],
+        ),
+        (
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert(("achieved",), ACHIEVED + ACHIEVED[:1]),
+            ["stored achieved list has an extra entry for (0,)"],
+        ),
+        (
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert(("achieved", 0, 0), [999]),
+            [
+                "stored achieved list has an extra entry for (999,)",
+                "stored achieved list is missing point (0,)",
+            ],
+        ),
+        (
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert(("trace", 0, "escape"), [1] * 6),  # lands at (6,), near (8,)
+            ["trace replay failed: recorded escape word does not escape Q"],
+        ),
+        (
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert(("trace", 0, "q0", 0, "y"), [9]),
+            ["trace replay failed: recorded Q0 member (9,) is not in Q"],
+        ),
+        (
+            "separate",
+            RESTART,
+            "--check",
+            _restart_cert(("word",), RESTART_CERT["word"] + [1, -1]),  # same distances
+            ["trace replay produced a different word"],
+        ),
+        (
+            "oracle",
+            Z1_SINGLE,
+            "--certificate",
+            {"status": "ok", "word": [], "achieved": [[[0], "0"]], "ratio": "0"},
+            [
+                "ratio 0 is below 1/3",
+                "certificate word [] (length 0) is not oracle-valid at bound 8",
+            ],
+        ),
+    ],
+    ids=[
+        "achieved-dropped",
+        "achieved-duplicated",
+        "achieved-foreign",
+        "escape-does-not-escape",
+        "q0-member-not-in-q",
+        "word-not-reduced",
+        "oracle-identity-word",
+    ],
+)
+def test_check_reports_each_true_problem_once(
+    capsys, tmp_path, command, doc, flag, certificate, problems
+):
+    """A tampered certificate fails its check with exactly the problems it
+    has: an entry of P left out of ``achieved`` is missing, not also extra."""
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps(doc))
+    certfile = tmp_path / "cert.json"
+    certfile.write_text(json.dumps(certificate))
+    code, out, _ = run(capsys, command, "--in", str(infile), flag, str(certfile))
+    assert code == 5
+    assert json.loads(out)["problems"] == problems
 
 
 def test_check_refuses_more_restarts_than_q0_members(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Dead code in the package (imports a module never uses, definitions
-nothing calls) and recursion.  All are found from the source alone, with
-``ast``."""
+nothing calls), recursion and assertions.  All are found from the source
+alone, with ``ast``."""
 
 import ast
 import pathlib
@@ -95,3 +95,17 @@ def test_no_top_level_function_calls_itself():
         )
     ]
     assert recursive == ["spaces.py: space_from_json"]
+
+
+def test_no_assertion_in_the_package():
+    """No input produces a traceback, so the package neither asserts nor
+    raises AssertionError: ``python -O`` drops the one and no caller handles
+    the other."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "AssertionError"
+    ]
+    assert found == []

@@ -252,6 +252,24 @@ def test_validate_metric_rejects_pseudometric():
     assert any(v.axiom == "positivity" for v in violations)
 
 
+def test_validate_metric_sweeps_a_small_space_instead_of_the_sample():
+    """On a space of at most 64 points every triple is checked instead of the
+    sample, whose points must still belong to the space, and each violation
+    is reported once."""
+    g = O.FiniteGraphSpace(3, [[0, 1, 1], [1, 2, 1]])
+    g._table[0][2] = Fraction(5)
+    g._table[2][0] = Fraction(5)
+    with pytest.raises(InvalidInputError):
+        O.validate_metric(g, [(0, 1, 3)])
+
+    def found(triples):
+        return [repr(v) for v in O.validate_metric(g, triples)]
+
+    assert found([(0, 1, 2)]) == found([(1, 1, 1), (2, 0, 1)]) == found(())
+    keys = [(v.axiom, v.points) for v in O.validate_metric(g)]
+    assert len(keys) == len(set(keys)) > 0
+
+
 def test_validate_metric_empty_sample_exhaustive_pass():
     g = O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]])
     assert O.validate_metric(g) == []
