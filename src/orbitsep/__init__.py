@@ -13,6 +13,7 @@ from .actions import (
     GeneratedAction,
     LeftMultiplication,
     OrbitBudget,
+    OrbitWalk,
     SearchStats,
     Shift,
     Translation,

@@ -8,11 +8,16 @@ left, so ``apply_word(compose(u, v), p) == apply_word(u, apply_word(v, p))``.
 Orbit exploration is breadth-first and deterministic: signed generators are
 tried in the order ``+1, -1, +2, -2, ...``, points are deduplicated by
 structural equality, and each point is paired with the first word reaching
-it.  Every search is bounded by an ``OrbitBudget``; running out of budget
-(or exhausting a finite orbit) raises ``BudgetExhaustedError``.
+it.  One walker, ``OrbitWalk``, does every such search.  It stores each
+point with its parent's index and the letter that reached it, builds a word
+only for the points a search returns or keeps, and never tries the letter
+that undoes a point's own last letter, because that move lands on the
+parent.  This assumes that each generator's backward map inverts its
+forward map, which the "inverse" check of ``verify_isometry`` tests.  Every
+search is bounded by an ``OrbitBudget``; running out of budget (or
+exhausting a finite orbit) raises ``BudgetExhaustedError``.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,7 +36,7 @@ from .spaces import (
     word_from_string,
     word_to_string,
 )
-from .words import IDENTITY, compose, invert, reduce_word
+from .words import compose, invert, reduce_word
 
 
 def _require_fit(gen, space, space_type, fits=lambda b: True):
@@ -333,42 +338,85 @@ class SearchStats:
     points: int = 0
 
 
+class OrbitWalk:
+    """A breadth-first walk over the orbit of p, one word length at a time.
+
+    Iterating yields each orbit point once, p first; ``length`` is the word
+    length of the point last yielded, and ``word(i)`` the first word
+    reaching the i-th point yielded (p is the 0th), read off the parent
+    links.  No point is moved by the letter that undoes its own last letter,
+    so every word is reduced as built.  The walk ends when the orbit closes,
+    after the points at length ``budget.max_word_length``, or when a point
+    past ``budget.max_points`` appears; ``stats.points`` counts each point
+    as it is yielded.  Each iteration walks afresh; ``word`` and ``len``
+    read the latest walk.
+    """
+
+    def __init__(self, action, p, budget=DEFAULT_BUDGET, stats=None):
+        action.space.check_point(p)
+        self._start = (action, p, budget, stats)
+
+    def __len__(self):
+        """The number of points the walk has found, p included."""
+        return len(self._letters)
+
+    def word(self, i):
+        """The word reaching the i-th point yielded, read off its parent links."""
+        parents, letters = self._parents, self._letters
+        w = []
+        while i:
+            w.append(letters[i])
+            i = parents[i]
+        return tuple(w)
+
+    def __iter__(self):
+        action, p, budget, stats = self._start
+        self.length = 0
+        self._parents = parents = [0]
+        self._letters = letters = [0]  # no letter reaches p
+        moves = action.moves()
+        onward = {s: [m for m in moves if m[0] != -s] for s, _ in moves}
+        onward[0] = moves  # p has no last letter to undo
+        points = [p]
+        seen = {p}
+        cap = budget.max_points
+        if stats is not None:
+            stats.points += 1
+        yield p
+        begin = 0
+        for length in range(1, budget.max_word_length + 1):
+            end = len(points)
+            if begin == end:  # the orbit closed
+                return
+            self.length = length
+            for i in range(begin, end):
+                x = points[i]
+                for s, move in onward[letters[i]]:
+                    y = move(x)
+                    if y in seen:
+                        continue
+                    if len(points) >= cap:
+                        return
+                    seen.add(y)
+                    points.append(y)
+                    parents.append(i)
+                    letters.append(s)
+                    if stats is not None:
+                        stats.points += 1
+                    yield y
+            begin = end
+
+
 def orbit_stream(action, p, budget=DEFAULT_BUDGET, stats=None):
     """Yield (point, word) over the orbit of p in deterministic BFS order.
 
-    Points come out in non-decreasing word length, without duplicates, each
-    with the first word reaching it; the stream starts at (p, identity) and
-    stops when the budget is hit or the orbit closes.  Extending a visited
-    point's word by one signed letter never needs re-reduction: a seam
-    cancellation would reproduce the parent's word, whose endpoint is
-    already visited.
+    The points are an ``OrbitWalk``'s, each with the first word reaching it,
+    built by following the walk's parent links.  The walk never steps back
+    to a point's parent, so every word is reduced.
     """
-    action.space.check_point(p)
-    seen = {p}
-    count = 1
-    if stats is not None:
-        stats.points += 1
-    yield p, IDENTITY
-    queue = deque([(p, IDENTITY)])
-    maxlen = budget.max_word_length
-    moves = action.moves()
-    while queue:
-        x, w = queue.popleft()
-        if len(w) >= maxlen:
-            continue
-        for s, move in moves:
-            y = move(x)
-            if y in seen:
-                continue
-            if count >= budget.max_points:
-                return
-            nw = (s,) + w
-            seen.add(y)
-            count += 1
-            if stats is not None:
-                stats.points += 1
-            yield y, nw
-            queue.append((y, nw))
+    walk = OrbitWalk(action, p, budget, stats)
+    for i, x in enumerate(walk):
+        yield x, walk.word(i)
 
 
 def find_escape(action, p, q_points, eps, budget=DEFAULT_BUDGET, stats=None):
@@ -380,14 +428,13 @@ def find_escape(action, p, q_points, eps, budget=DEFAULT_BUDGET, stats=None):
     """
     check_positive(eps, "eps")
     space = action.space
-    explored = 0
-    for x, w in orbit_stream(action, p, budget, stats):
-        explored += 1
+    walk = OrbitWalk(action, p, budget, stats)
+    for i, x in enumerate(walk):
         if first_within(space, x, q_points, eps) is None:
-            return w
+            return walk.word(i)
     raise BudgetExhaustedError(
-        f"no escape at radius {eps} after exploring {explored} orbit points",
-        explored=explored,
+        f"no escape at radius {eps} after exploring {len(walk)} orbit points",
+        explored=len(walk),
     )
 
 
@@ -402,18 +449,17 @@ def separated_family(action, p, eps, n, budget=DEFAULT_BUDGET, stats=None):
     space = action.space
     two_eps = 2 * Fraction(eps)
     kept, kept_points = [], []
-    explored = 0
-    for x, w in orbit_stream(action, p, budget, stats):
-        explored += 1
+    walk = OrbitWalk(action, p, budget, stats)
+    for i, x in enumerate(walk):
         if first_within(space, x, kept_points, two_eps) is None:
-            kept.append((x, w))
+            kept.append(i)
             kept_points.append(x)
             if len(kept) == n:
-                return kept
+                return [(x, walk.word(i)) for x, i in zip(kept_points, kept)]
     raise BudgetExhaustedError(
         f"found only {len(kept)} of {n} separated orbit points "
-        f"after exploring {explored}",
-        explored=explored,
+        f"after exploring {len(walk)}",
+        explored=len(walk),
     )
 
 

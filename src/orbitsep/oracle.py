@@ -346,8 +346,10 @@ def differential_check(instance, oracle_bound=8, certificate=None):
     (``check_certificate``: trace replay, and a ratio of at least 1/3), and
     (b) when the word is within the oracle bound, its image tuple is
     oracle-valid.  A stored certificate can be passed in to be checked
-    instead of solving.  The oracle runs even when the solver exhausts the
-    instance's budget, so every report carries the oracle's verdict.
+    instead of solving; it is checked before the oracle runs, so a malformed
+    one is refused without the oracle's search.  The oracle runs even when
+    the solver exhausts the instance's budget, so every report carries the
+    oracle's verdict.
     """
     if instance.c_weighted is not None:
         raise InvalidInputError("differential_check expects a P/Q instance")
@@ -363,6 +365,10 @@ def differential_check(instance, oracle_bound=8, certificate=None):
             )
         except BudgetExhaustedError as exc:
             problems.append(str(exc))
+    if cert is not None:
+        problems.extend(
+            check_certificate(action, instance.weighted_p, instance.q_points, cert)
+        )
     verdict = brute_force_separate(
         action, instance.weighted_p, instance.q_points, oracle_bound
     )
@@ -370,9 +376,6 @@ def differential_check(instance, oracle_bound=8, certificate=None):
         return DifferentialReport(
             "budget-exhausted", problems, instance, None, verdict, stats.points
         )
-    problems.extend(
-        check_certificate(action, instance.weighted_p, instance.q_points, cert)
-    )
     if len(cert.word) <= oracle_bound:
         if not verdict.contains_word(action, instance.weighted_p, cert.word):
             problems.append(

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .actions import (
-    DEFAULT_BUDGET,
-    apply_powers,
-    find_escape,
-    orbit_stream,
-)
+from .actions import DEFAULT_BUDGET, OrbitWalk, apply_powers, find_escape
 from .errors import (
     BudgetExhaustedError, InvalidInputError, NotIsometricError, TraceReplayError
 )
@@ -132,28 +127,29 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     if not keys:
         return {}
     ys = [q_points[i] for _, i in keyed[: len(keys)]]
-    found = {}
+    found = {}  # Q-point -> index of its first orbit point in the walk
+    walk = OrbitWalk(action, pivot, budget, stats)
     length = joined = None
-    for x, w in orbit_stream(action, pivot, budget, stats):
-        if len(w) != length:
-            length = len(w)
+    for n, x in enumerate(walk):
+        if walk.length != length:
+            length = walk.length
             joined = rn + length * step  # keys below it have joined
         if keys[0] >= joined:
             continue
         if len(keys) == 1 or keys[1] >= joined:
             if space.distance(x, ys[0]) * rd < rn:
-                found[ys[0]] = w
+                found[ys[0]] = n
                 del keys[0], ys[0]
         else:
             t = space.distance(pivot, x) * rd
             lo = bisect_right(keys, t - rn)
             for i in reversed(range(lo, bisect_left(keys, t + rn, lo))):
                 if space.distance(x, ys[i]) * rd < rn:
-                    found[ys[i]] = w
+                    found[ys[i]] = n
                     del keys[i], ys[i]
         if not keys:
             break
-    return {y: found[y] for y in q_points if y in found}
+    return {y: walk.word(found[y]) for y in q_points if y in found}
 
 
 def _enlarge(action, q_points, q0, a):

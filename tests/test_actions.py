@@ -1,5 +1,7 @@
 import random
+from collections import deque
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,122 @@ def test_orbit_stream_properties(zd2_action):
     for p, w in got:
         assert all(w[k] != -w[k + 1] for k in range(len(w) - 1))  # reduced
         assert zd2_action.apply_word(w, (2, -1)) == p
+
+
+def _reference_orbit(action, p, budget):
+    """The orbit stream by a plain BFS over (point, word) pairs: every signed
+    generator is tried from every point, and each new point gets its
+    parent's word with one letter put in front."""
+    seen = {p}
+    stream = [(p, ())]
+    queue = deque(stream)
+    moves = action.moves()
+    while queue:
+        x, w = queue.popleft()
+        if len(w) >= budget.max_word_length:
+            continue
+        for s, move in moves:
+            y = move(x)
+            if y in seen:
+                continue
+            if len(stream) >= budget.max_points:
+                return stream
+            seen.add(y)
+            stream.append((y, (s,) + w))
+            queue.append(stream[-1])
+    return stream
+
+
+_Z2 = [O.Translation((1, 0)), O.Translation((0, 1)), O.Translation((2, -1))]
+WALK_ACTIONS = {
+    "zd2-l1": (O.ZdSpace(2, "l1"), _Z2),
+    "zd2-linf": (O.ZdSpace(2, "linf"), _Z2),
+    "free2": (O.FreeSpace(2), [O.LeftMultiplication((1,)), O.LeftMultiplication((2,))]),
+    "shift": (O.DiscreteShiftSpace(), [O.Shift()]),
+    "c4": (
+        O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]),
+        [O.VertexPermutation((1, 2, 3, 0))],
+    ),
+    "scaled": (O.ScaledSpace(O.ZdSpace(2, "l1"), "3/2"), _Z2),
+    "discrete": (O.DiscreteAdapterSpace(O.ZdSpace(1, "l1")), [O.Translation((1,))]),
+}
+WALK_BUDGETS = [
+    # OrbitBudget refuses a word length of 0; the walk reads only the fields.
+    SimpleNamespace(max_points=100, max_word_length=0),
+    O.OrbitBudget(100, 1),
+    # The 8th point is mid-layer everywhere but c4, whose orbit closes first.
+    O.OrbitBudget(8, 24),
+    O.OrbitBudget(3000, 6),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_ACTIONS))
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    budget=st.sampled_from(WALK_BUDGETS),
+    stop=st.integers(1, 40),
+)
+def test_walk_matches_reference_bfs(kind, seed, budget, stop):
+    """orbit_stream and OrbitWalk give the reference BFS's points, words and
+    count, whole or stopped after ``stop`` points."""
+    space, gens = WALK_ACTIONS[kind]
+    action = O.GeneratedAction(space, gens)
+    pivot = O.sample_point(space, O.SplitMix64(seed), coord_max=8, word_max=6)
+    expected = _reference_orbit(action, pivot, budget)
+    stats = O.SearchStats()
+    assert list(O.orbit_stream(action, pivot, budget, stats)) == expected
+    assert stats.points == len(expected)
+    stats = O.SearchStats()
+    walk = O.OrbitWalk(action, pivot, budget, stats)
+    assert [(x, walk.length) for x in walk] == [(x, len(w)) for x, w in expected]
+    assert [walk.word(i) for i in range(len(walk))] == [w for _, w in expected]
+    assert stats.points == len(expected)
+    stats = O.SearchStats()
+    assert len(list(islice(O.OrbitWalk(action, pivot, budget, stats), stop))) == min(
+        stop, len(expected)
+    )
+    assert stats.points == min(stop, len(expected))
+
+
+class _Lopsided:
+    """On the integers: forward adds 1 but backward adds 2, so backward does
+    not invert forward."""
+
+    kind = "lopsided"
+
+    def check(self, space):
+        pass
+
+    def forward(self, p):
+        return p + 1
+
+    def backward(self, p):
+        return p + 2
+
+    def power(self, p, k):
+        return p + k if k > 0 else p - 2 * k
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_ACTIONS) + ["lopsided"])
+def test_walk_yields_reduced_words(kind):
+    """No word undoes its own last letter, even when backward does not invert
+    forward: stepping back from 1 would reach 3 by the word (-1, 1).  The
+    "inverse" check of verify_isometry flags such a generator."""
+    if kind == "lopsided":
+        action = O.GeneratedAction(O.DiscreteShiftSpace(), [_Lopsided()])
+        assert [v.kind for v in O.verify_isometry(action, [(0, 1)])] == ["inverse"]
+        pivot = 0
+    else:
+        action = O.GeneratedAction(*WALK_ACTIONS[kind])
+        pivot = O.sample_point(action.space, O.SplitMix64(7), coord_max=8, word_max=6)
+    stream = list(O.orbit_stream(action, pivot, O.OrbitBudget(3000, 6)))
+    assert len(stream) > 1
+    for x, w in stream:
+        assert O.reduce_word(w) == w
+        assert action.apply_word(w, pivot) == x
+    if kind == "lopsided":
+        assert stream[:5] == [(0, ()), (1, (1,)), (2, (-1,)), (4, (-1, -1)), (6, (-1, -1, -1))]
 
 
 def test_find_escape_derived_example(zd2_action):

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import orbitsep.oracle
 from conftest import instance_path
 from orbitsep.cli import main
 
@@ -715,6 +716,24 @@ def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message)
     assert out == ""
     assert err.startswith("invalid input:") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", sorted(LETTER_9))
+def test_oracle_refuses_a_bad_letter_before_its_search(capsys, tmp_path, monkeypatch, where):
+    """A certificate whose word, escape or witness names no generator exits 3
+    at bound 10 without the oracle's search, which checking it needs none of."""
+
+    def brute_force_separate(*args, **kwargs):
+        raise AssertionError("the oracle searched before the certificate was checked")
+
+    monkeypatch.setattr(orbitsep.oracle, "brute_force_separate", brute_force_separate)
+    infile, certfile = tmp_path / "restart.json", tmp_path / "cert.json"
+    infile.write_text(json.dumps(RESTART))
+    certfile.write_text(json.dumps(_restart_cert(*LETTER_9[where])))
+    argv = ["oracle", "--in", str(infile), "--bound", "10", "--certificate", str(certfile)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "invalid input: generator index 9 out of range\n"
 
 
 def _nested_space_file(tmp_path, wrappers):

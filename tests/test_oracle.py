@@ -358,6 +358,34 @@ def test_differential_check_reports_a_low_stored_ratio_once():
     assert problems and report.problems == problems
 
 
+def test_differential_check_lists_check_problems_before_the_oracle_verdict(monkeypatch):
+    """A given certificate is checked before the oracle searches; its
+    problems come first, the oracle's verdict on its word last."""
+    inst = O.random_instance("zd2", 0)
+    inst.q_points.append(inst.weighted_p[0][0])  # the identity moves p onto Q
+    achieved, ratio = O.evaluate_word(inst.action(), inst.weighted_p, inst.q_points, ())
+    calls = []
+
+    def recorded(name):
+        fn = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("check_certificate", "brute_force_separate"):
+        monkeypatch.setattr(oracle, name, recorded(name))
+    cert = O.SeparationCertificate((), achieved, ratio, None)
+    report = O.differential_check(inst, oracle_bound=4, certificate=cert)
+    assert calls == ["check_certificate", "brute_force_separate"]
+    assert report.problems == [
+        "ratio 0 is below 1/3",
+        "certificate word [] (length 0) is not oracle-valid at bound 4",
+    ]
+
+
 def test_differential_check_budget_exhaustion_is_not_mismatch():
     inst = O.random_instance("c4", 0)
     report = O.differential_check(inst)

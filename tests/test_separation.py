@@ -581,6 +581,7 @@ def test_checker_shares_no_search_code(checker):
     assert not _referenced_names(checker) & {
         "find_escape",
         "orbit_stream",
+        "OrbitWalk",
         "_detect_q0",
         "_separate",
     }
