@@ -16,12 +16,30 @@ parent.  This assumes that each generator's backward map inverts its
 forward map, which the "inverse" check of ``verify_isometry`` tests.  Every
 search is bounded by an ``OrbitBudget``; running out of budget (or
 exhausting a finite orbit) raises ``BudgetExhaustedError``.
+
+The parent links, letters and word lengths form the walk's skeleton.  When
+every generator is exactly a ``Translation``, ``LeftMultiplication`` or
+``Shift``, the group acts through a homomorphism onto a group acting on
+itself, so every point's stabiliser is the kernel: ``g.p == h.p`` exactly
+when ``g.o == h.o``.  The walk then keeps or rejects the same moves from
+every start point, and its skeleton is the same from all of them.  Such
+walks share one skeleton per key (each generator's type and description,
+and the budget's two fields), grown lazily from the first start point seen
+and replayed from every other one with one map call per point.  A module
+cache keeps the 8 most recently used skeletons, about 50 bytes a point
+each: 58 KB for the 1201-point ball of ℤ² at word length 24, 5.6 MB for a
+walk of 100,000 points.  Other generators (a ``VertexPermutation``, whose
+stabilisers differ between points, a subclass, a duck-typed generator) walk
+a skeleton of their own.  Growing a skeleton takes its lock, so walks may
+share one between threads.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add, sub
+from threading import Lock
 
 from .errors import BudgetExhaustedError, InvalidInputError
 from .rationals import check_int, check_positive
@@ -350,6 +368,16 @@ class OrbitWalk:
     past ``budget.max_points`` appears; ``stats.points`` counts each point
     as it is yielded.  Each iteration walks afresh; ``word`` and ``len``
     read the latest walk.
+
+    The parent links, letters and word lengths come from a ``_Skeleton``.
+    When every generator is exactly a ``Translation``, ``LeftMultiplication``
+    or ``Shift``, every point has the kernel as its stabiliser, so the
+    skeleton is the same from every start point: the walk takes a shared one
+    and replays it, ``x_n = move[letter n](x_(parent n))``, with no seen set
+    and no rejected move.  A walk from the skeleton's own base point reads
+    the base walk's points while that walk is still growing.  A module cache
+    keeps the 8 most recently used shared skeletons, about 50 bytes a point
+    each.  Any other action walks a skeleton of its own.
     """
 
     def __init__(self, action, p, budget=DEFAULT_BUDGET, stats=None):
@@ -358,7 +386,7 @@ class OrbitWalk:
 
     def __len__(self):
         """The number of points the walk has found, p included."""
-        return len(self._letters)
+        return len(self._points)
 
     def word(self, i):
         """The word reaching the i-th point yielded, read off its parent links."""
@@ -371,40 +399,145 @@ class OrbitWalk:
 
     def __iter__(self):
         action, p, budget, stats = self._start
+        skeleton = _skeleton(action, p, budget)
+        self._parents = parents = skeleton.parents
+        self._letters = letters = skeleton.letters
+        lengths = skeleton.lengths
+        base = skeleton.points  # read once: the skeleton drops it when done
+        if base is not None and base[0] != p:
+            base = None
+        moves = dict(action.moves())
+        self._points = points = [p]
         self.length = 0
-        self._parents = parents = [0]
-        self._letters = letters = [0]  # no letter reaches p
-        moves = action.moves()
-        onward = {s: [m for m in moves if m[0] != -s] for s, _ in moves}
-        onward[0] = moves  # p has no last letter to undo
-        points = [p]
-        seen = {p}
-        cap = budget.max_points
         if stats is not None:
             stats.points += 1
         yield p
-        begin = 0
-        for length in range(1, budget.max_word_length + 1):
-            end = len(points)
-            if begin == end:  # the orbit closed
-                return
-            self.length = length
-            for i in range(begin, end):
-                x = points[i]
-                for s, move in onward[letters[i]]:
-                    y = move(x)
-                    if y in seen:
-                        continue
-                    if len(points) >= cap:
-                        return
-                    seen.add(y)
-                    points.append(y)
-                    parents.append(i)
-                    letters.append(s)
-                    if stats is not None:
-                        stats.points += 1
-                    yield y
-            begin = end
+        n = 1
+        while True:
+            end = len(lengths)
+            if n == end:
+                end = skeleton.extend(n)
+                if n == end:
+                    return
+            for n in range(n, end):
+                x = moves[letters[n]](points[parents[n]]) if base is None else base[n]
+                points.append(x)
+                self.length = lengths[n]
+                if stats is not None:
+                    stats.points += 1
+                yield x
+            n = end
+
+
+def _grow(moves, p, budget, parents, letters, lengths, points):
+    """The breadth-first walk from p that a ``_Skeleton`` records.
+
+    Each new point is appended to ``points`` with its parent's index, the
+    letter reaching it and its word length, ``lengths`` last.  The generator
+    is sent a target size and pauses when ``points`` reaches it; it returns
+    True when the walk ends.  It refers to the lists, not to the skeleton,
+    so the two form no reference cycle.
+    """
+    onward = {s: [m for m in moves if m[0] != -s] for s, _ in moves}
+    onward[0] = moves  # p has no last letter to undo
+    seen = {p}
+    cap = budget.max_points
+    target = yield
+    begin = 0
+    for length in range(1, budget.max_word_length + 1):
+        end = len(points)
+        if begin == end:  # the orbit closed
+            break
+        for i in range(begin, end):
+            x = points[i]
+            for s, move in onward[letters[i]]:
+                y = move(x)
+                if y in seen:
+                    continue
+                if len(points) >= cap:
+                    return True
+                seen.add(y)
+                points.append(y)
+                parents.append(i)
+                letters.append(s)
+                lengths.append(length)
+                if len(points) == target:
+                    target = yield
+        begin = end
+    return True
+
+
+_GROW_STEP = 16  # a skeleton asked for entry n grows to n + n // 2 + _GROW_STEP
+
+
+class _Skeleton:
+    """The parent index, letter and word length of every point of one
+    breadth-first walk, grown on demand by ``extend``.
+
+    ``points`` holds the walk's points, its start point first, while it
+    grows, and is dropped with its seen set when the walk ends.  Growing
+    takes the skeleton's lock; reading does not, since ``lengths`` is
+    appended last and so its length counts entries complete in every list.
+    """
+
+    def __init__(self, action, p, budget, key=None):
+        self.key = key
+        self.parents, self.letters, self.lengths = [0], [0], [0]
+        self.points = [p]
+        self._grow = _grow(
+            action.moves(), p, budget, self.parents, self.letters, self.lengths, self.points
+        )
+        next(self._grow)
+        self._lock = Lock()
+
+    def extend(self, n):
+        """Grow the skeleton past n entries, unless it holds them already or
+        the walk has ended; return its number of entries."""
+        with self._lock:
+            grow = self._grow
+            if grow is not None and len(self.lengths) <= n:
+                try:
+                    grow.send(n + n // 2 + _GROW_STEP)
+                except StopIteration as stop:
+                    if stop.value is not True:  # an earlier extend raised
+                        raise RuntimeError("this orbit skeleton's walk was interrupted") from None
+                    self._grow = self.points = None
+                except BaseException:
+                    with _skeletons_lock:  # the next walk of the key starts anew
+                        if _skeletons.get(self.key) is self:
+                            del _skeletons[self.key]
+                    raise
+            return len(self.lengths)
+
+
+# Skeletons of the actions that share them, least recently used first.  The
+# key is each generator's exact type and description with the budget's two
+# fields; the cache holds at most _SKELETONS_KEPT of them.
+_SKELETONS_KEPT = 8
+_skeletons = OrderedDict()
+_skeletons_lock = Lock()
+
+
+def _skeleton(action, p, budget):
+    """The shared skeleton of the action's key, made from p if there is none;
+    a skeleton of its own for a walk whose action may not share one."""
+    gens = action.generators
+    if not all(type(g) in (Translation, LeftMultiplication, Shift) for g in gens):
+        return _Skeleton(action, p, budget)
+    key = (
+        tuple((type(g), g.describe()) for g in gens),
+        budget.max_points,
+        budget.max_word_length,
+    )
+    with _skeletons_lock:
+        skeleton = _skeletons.get(key)
+        if skeleton is None:
+            skeleton = _skeletons[key] = _Skeleton(action, p, budget, key)
+            if len(_skeletons) > _SKELETONS_KEPT:
+                _skeletons.popitem(last=False)
+        else:
+            _skeletons.move_to_end(key)
+        return skeleton
 
 
 def orbit_stream(action, p, budget=DEFAULT_BUDGET, stats=None):

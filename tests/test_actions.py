@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import deque
 from itertools import islice
 from types import SimpleNamespace
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitsep as O
+from orbitsep import actions as A
 from orbitsep.errors import BudgetExhaustedError, InvalidInputError
 
 
@@ -335,6 +338,232 @@ def test_walk_yields_reduced_words(kind):
         assert action.apply_word(w, pivot) == x
     if kind == "lopsided":
         assert stream[:5] == [(0, ()), (1, (1,)), (2, (-1,)), (4, (-1, -1)), (6, (-1, -1, -1))]
+
+
+_END = object()
+# The kinds whose walks share a skeleton: translations, left multiplications
+# (one by a two-letter word) and the shift.
+SHARED_ACTIONS = {
+    **{k: v for k, v in WALK_ACTIONS.items() if k != "c4"},
+    "free2-ab": (O.FreeSpace(2), [O.LeftMultiplication((1, 2)), O.LeftMultiplication((2,))]),
+}
+
+
+def _fresh(kind):
+    """The kind's action, built from new generator objects equal to the listed ones."""
+    space, gens = SHARED_ACTIONS[kind]
+    return O.GeneratedAction(space, [O.generator_from_json(g.to_json()) for g in gens])
+
+
+def _pivots(action, seed, n):
+    rng = O.SplitMix64(seed)
+    return [O.sample_point(action.space, rng, coord_max=8, word_max=6) for _ in range(n)]
+
+
+class _Recorded:
+    """An OrbitWalk stepped from outside, recording each point with its length."""
+
+    def __init__(self, action, p, budget):
+        self.stats = O.SearchStats()
+        self.walk = O.OrbitWalk(action, p, budget, self.stats)
+        self.steps = iter(self.walk)
+        self.got = []
+
+    def step(self):
+        x = next(self.steps, _END)
+        if x is not _END:
+            self.got.append((x, self.walk.length))
+        return x is not _END
+
+    def run(self, stop=None):
+        while (stop is None or len(self.got) < stop) and self.step():
+            pass
+        return self
+
+    def assert_matches(self, expected):
+        """Points, lengths, words, len and stats.points equal the reference's."""
+        assert self.got == [(x, len(w)) for x, w in expected]
+        assert [self.walk.word(i) for i in range(len(self.walk))] == [w for _, w in expected]
+        assert self.stats.points == len(expected)
+
+
+def _interleave(*recorded):
+    """Step the walks in turn, one point each, until every one has ended."""
+    live = list(recorded)
+    while live:
+        live = [r for r in live if r.step()]
+
+
+def _reference_escape(action, p, q_points, eps, budget):
+    """find_escape's word, or the explored count it reports, from the reference BFS."""
+    stream = _reference_orbit(action, p, budget)
+    for x, w in stream:
+        if all(action.space.distance(x, y) >= eps for y in q_points):
+            return w
+    return len(stream)
+
+
+def _escape_or_explored(action, p, q_points, eps, budget):
+    try:
+        return O.find_escape(action, p, q_points, eps, budget)
+    except BudgetExhaustedError as e:
+        return e.explored
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_ACTIONS))
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    budgets=st.lists(st.sampled_from(WALK_BUDGETS), min_size=2, max_size=2),
+    stop=st.integers(1, 40),
+    eps=st.integers(1, 6),
+)
+def test_shared_skeleton_walks_match_reference_bfs(kind, seed, budgets, stop, eps):
+    """Walks that share a skeleton give the reference BFS's points, lengths,
+    words, len, stats.points and find_escape result, however they meet it:
+    after a first walk stopped early, so the skeleton is a prefix; two
+    pivots walked interleaved, on two actions of equal generators built as
+    separate objects; a second budget on equal generators."""
+    A._skeletons.clear()
+    first, second = budgets
+    action, twin = _fresh(kind), _fresh(kind)
+    p, q, r = _pivots(action, seed, 3)
+    _Recorded(action, p, first).run(stop)  # leaves a prefix skeleton
+    assert len(A._skeletons) == 1
+    walks = [_Recorded(action, q, first), _Recorded(twin, p, first), _Recorded(twin, r, first)]
+    _interleave(*walks)
+    for walk, pivot in zip(walks, (q, p, r)):
+        walk.assert_matches(_reference_orbit(action, pivot, first))
+    _Recorded(twin, q, second).run().assert_matches(_reference_orbit(action, q, second))
+    assert len(A._skeletons) == 1 + (first != second)
+    for budget in budgets:
+        assert _escape_or_explored(twin, r, [p, q], eps, budget) == _reference_escape(
+            action, r, [p, q], eps, budget
+        )
+
+
+class _Reflection(O.Translation):
+    """On ℤ: x -> -x.  A Translation by class, but 0 is its fixed point while
+    every other point moves, so stabilisers differ between points."""
+
+    def forward(self, p):
+        return (-p[0],)
+
+    backward = forward
+
+
+# kind -> (space, generators, pivots)
+GATED_ACTIONS = {
+    "c4": (*WALK_ACTIONS["c4"], [0, 1]),
+    "lopsided": (O.DiscreteShiftSpace(), [_Lopsided()], [0, 2]),
+    "reflection": (
+        O.ZdSpace(1, "l1"),
+        [O.Translation((1,)), _Reflection((1,))],
+        [(0,), (1,), (3,)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GATED_ACTIONS))
+def test_walks_share_no_skeleton_unless_every_generator_is_exactly_a_shared_kind(kind):
+    """A permutation, a duck-typed generator and a Translation subclass that
+    does not translate add no cache entry and walk as the reference does
+    (the lopsided generator's backward does not invert forward, so its
+    reference is pinned, as in test_walk_yields_reduced_words)."""
+    A._skeletons.clear()
+    space, gens, pivots = GATED_ACTIONS[kind]
+    action = O.GeneratedAction(space, gens)
+    budget = O.OrbitBudget(40, 6)
+    walks = [_Recorded(action, p, budget) for p in pivots]
+    _interleave(*walks)
+    assert not A._skeletons
+    if kind == "lopsided":
+        assert walks[0].got[:5] == [(0, 0), (1, 1), (2, 1), (4, 2), (6, 3)]
+        assert walks[1].got[:3] == [(2, 0), (3, 1), (4, 1)]
+        return
+    for walk, p in zip(walks, pivots):
+        walk.assert_matches(_reference_orbit(action, p, budget))
+    if kind == "reflection":  # 0 is fixed by the reflection, 1 is not
+        assert len(walks[0].got) < len(walks[1].got)
+
+
+def test_skeleton_cache_is_bounded():
+    A._skeletons.clear()
+    budget = O.OrbitBudget(50, 6)
+    for k in range(1, A._SKELETONS_KEPT + 4):
+        action = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((k,))])
+        _Recorded(action, (0,), budget).run()
+        assert len(A._skeletons) == min(k, A._SKELETONS_KEPT)
+    kept = [key[0][0][1] for key in A._skeletons]
+    assert kept == [f"translation({k},)" for k in range(4, A._SKELETONS_KEPT + 4)]
+
+
+def test_threads_share_one_skeleton():
+    """Two threads walk 30 pivots each on one fresh key, switching threads
+    as often as the interpreter allows; every walk matches the reference."""
+    A._skeletons.clear()
+    action = _fresh("zd2-l1")
+    budget = O.OrbitBudget(3001, 24)
+    pivots = _pivots(action, 11, 60)
+    expected = [_reference_orbit(action, p, budget) for p in pivots]
+    failures, done = [], []
+
+    def walk_all(mine):
+        try:
+            for i in mine:
+                _Recorded(action, pivots[i], budget).run().assert_matches(expected[i])
+                done.append(i)
+        except Exception as e:  # reported by the main thread
+            failures.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk_all, args=(range(k, 60, 2),)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures
+    assert sorted(done) == list(range(60))
+    assert len(A._skeletons) == 1
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def test_interrupted_skeleton_is_forgotten(monkeypatch):
+    """A walk whose map raises leaves no broken skeleton behind: the cache
+    forgets it, a walk still holding it refuses to go on, and the next walk
+    of the key starts anew and matches the reference."""
+    A._skeletons.clear()
+    action = _fresh("zd2-l1")
+    budget = O.OrbitBudget(500, 24)
+    forward, calls = O.Translation.forward, []
+
+    def failing(gen, p):
+        calls.append(p)
+        if len(calls) > 200:
+            raise _Interrupt
+        return forward(gen, p)
+
+    monkeypatch.setattr(O.Translation, "forward", failing)
+    holder = _Recorded(action, (5, 5), budget)
+    holder.step()
+    with pytest.raises(_Interrupt):
+        _Recorded(action, (0, 0), budget).run()
+    assert not A._skeletons
+    monkeypatch.undo()
+    with pytest.raises(RuntimeError):
+        holder.run()
+    _Recorded(action, (0, 0), budget).run().assert_matches(
+        _reference_orbit(action, (0, 0), budget)
+    )
+    assert len(A._skeletons) == 1
 
 
 def test_find_escape_derived_example(zd2_action):

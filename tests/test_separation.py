@@ -582,6 +582,10 @@ def test_checker_shares_no_search_code(checker):
         "find_escape",
         "orbit_stream",
         "OrbitWalk",
+        "_Skeleton",
+        "_grow",
+        "_skeleton",
+        "_skeletons",
         "_detect_q0",
         "_separate",
     }
