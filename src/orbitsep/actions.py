@@ -37,7 +37,7 @@ share one between threads.
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import add, sub
 from threading import Lock
 
@@ -268,9 +268,14 @@ def _apply_power(p, gen, k):
     return gen.power(p, k)
 
 
-def _append_power(out, gen, k):
-    out.append((gen, k))
-    return out
+def _map_power(points, gen, k):
+    """gen^k mapped over an iterable of points, lazily: one ``map`` of
+    ``forward``/``backward`` for k = +-1, of ``power`` otherwise."""
+    if k == 1:
+        return map(gen.forward, points)
+    if k == -1:
+        return map(gen.backward, points)
+    return map(gen.power, points, repeat(k))
 
 
 class GeneratedAction:
@@ -312,23 +317,15 @@ class GeneratedAction:
         _apply_power,
         "Apply a word to a point, rightmost letter first, one power per run.",
     )
-    _collect_powers = _run_fold(_append_power)
+    _map_word = _run_fold(_map_power)
 
-    def powers(self, w):
-        """The word as generator powers ``[(gen, k)]``, rightmost first: one
-        per maximal run of one letter, ``k`` the signed run length."""
-        return self._collect_powers(w, [])
+    def apply_word_all(self, w, points):
+        """A new list of the points, each moved by the word: the word is
+        split into runs and its letters checked once for the whole list."""
+        return list(self._map_word(w, points))
 
     def generators_to_json(self):
         return [g.to_json() for g in self.generators]
-
-
-def apply_powers(powers, p):
-    """Apply ``GeneratedAction.powers(w)`` to p, so a word that moves many
-    points is split into runs once."""
-    for gen, k in powers:
-        p = _apply_power(p, gen, k)
-    return p
 
 
 @dataclass(frozen=True)

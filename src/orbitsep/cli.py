@@ -237,7 +237,7 @@ def _cmd_sequence(doc, args):
     eps, n = doc.rational("eps"), doc.field("n")
     words = separated_sequence(action, tuple_points, eps, n, _budget(doc.obj, args))
     images = [
-        [doc.space.point_to_json(action.apply_word(w, t)) for t in tuple_points]
+        [doc.space.point_to_json(x) for x in action.apply_word_all(w, tuple_points)]
         for w in words
     ]
     payload = {"status": "ok", "words": [list(w) for w in words], "images": images}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .actions import DEFAULT_BUDGET, OrbitWalk, apply_powers, find_escape
+from .actions import DEFAULT_BUDGET, OrbitWalk, find_escape
 from .errors import (
     BudgetExhaustedError, InvalidInputError, NotIsometricError, TraceReplayError
 )
@@ -157,9 +157,8 @@ def _enlarge(action, q_points, q0, a):
     seen = dict.fromkeys(q_points)
     a_inv = invert(a)
     for g_y in q0.values():
-        shift = action.powers(compose(g_y, a_inv))
-        for q in q_points:
-            seen.setdefault(apply_powers(shift, q))
+        for q in action.apply_word_all(compose(g_y, a_inv), q_points):
+            seen.setdefault(q)
     return list(seen)
 
 
@@ -250,7 +249,7 @@ def evaluate_word(action, weighted, q_points, word):
     return achieved, Fraction(num, den) if den else INF
 
 
-def separate_points(action, weighted, q_points, budget=None, stats=None):
+def separate_points(action, weighted, q_points, budget=DEFAULT_BUDGET, stats=None):
     """Find g with d(g.p, Q) >= eps_p / 3 for every (p, eps_p) in P.
 
     Returns a SeparationCertificate whose word, per-point achieved distances,
@@ -260,7 +259,6 @@ def separate_points(action, weighted, q_points, budget=None, stats=None):
     malformed weights or duplicate points, and NotIsometricError when the
     word fails that check, which only a non-isometric generator can cause.
     """
-    budget = budget or DEFAULT_BUDGET
     weighted = list(weighted)
     q_points = list(q_points)
     _check_weighted(action, weighted)
@@ -282,7 +280,7 @@ def discrete_weights(space, points):
     return [(p, Fraction(1)) for p in points]
 
 
-def separate_discrete(action, points, q_points, budget=None, stats=None):
+def separate_discrete(action, points, q_points, budget=DEFAULT_BUDGET, stats=None):
     """Discrete-metric specialization: find g with (g.P) ∩ Q = ∅.
 
     Runs separate_points with unit weights; discrete distances of at least
@@ -303,7 +301,7 @@ class CompactSeparationResult:
     certificate: SeparationCertificate
 
 
-def separate_compact(action, c_weighted, d_points, budget=None, stats=None):
+def separate_compact(action, c_weighted, d_points, budget=DEFAULT_BUDGET, stats=None):
     """Separate all of C from all of D at a radius derived from C alone.
 
     Each point of C carries a delta such that its orbit has no finite
@@ -340,7 +338,7 @@ def separate_compact(action, c_weighted, d_points, budget=None, stats=None):
     return CompactSeparationResult(epsilon, cover, net_p, net_q, cert)
 
 
-def separated_sequence(action, tuple_points, eps, n, budget=None, stats=None):
+def separated_sequence(action, tuple_points, eps, n, budget=DEFAULT_BUDGET, stats=None):
     """Words w_1..w_n placing copies of a tuple pairwise >= eps apart.
 
     w_1 is the identity; each later w_k separates a fresh copy of the tuple
@@ -373,7 +371,7 @@ def separated_sequence(action, tuple_points, eps, n, budget=None, stats=None):
     return words
 
 
-def full_existence_step(action, anchors, obstacles, budget=None, stats=None):
+def full_existence_step(action, anchors, obstacles, budget=DEFAULT_BUDGET, stats=None):
     """Move the obstacles off the anchors, then pull the anchors back.
 
     Runs separate_points with P = obstacles and Q = anchors, returning the
@@ -383,10 +381,11 @@ def full_existence_step(action, anchors, obstacles, budget=None, stats=None):
     """
     anchors = list(anchors)
     obstacles = list(obstacles)
+    _check_weighted(action, obstacles, "obstacles")
+    _check_points(action, anchors, "anchors")
     cert = separate_points(action, obstacles, anchors, budget, stats)
     sigma = cert.word
-    sigma_inv = invert(sigma)
-    realization = [action.apply_word(sigma_inv, q) for q in anchors]
+    realization = action.apply_word_all(invert(sigma), anchors)
     for b, eps in obstacles:
         if first_within(action.space, b, realization, Fraction(eps) / 3) is not None:
             raise NotIsometricError("full-existence transfer failed")

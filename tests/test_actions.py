@@ -134,11 +134,21 @@ def test_apply_word_matches_letter_by_letter(kind):
     for w in words:
         for p in points:
             assert action.apply_word(w, p) == _fold_step(action, w, p), (w, p)
+        assert action.apply_word_all(w, points) == [action.apply_word(w, p) for p in points]
     for i, gen in enumerate(action.generators, 1):
         for k in range(1, 6):
             for p in points:
                 assert gen.power(p, k) == _fold_step(action, (i,) * k, p)
                 assert gen.power(p, -k) == _fold_step(action, (-i,) * k, p)
+
+
+def test_apply_word_all_returns_a_new_list(z1_action):
+    points = [(0,), (4,)]
+    for w in [(), (1, -1)]:
+        moved = z1_action.apply_word_all(w, points)
+        assert moved == points and moved is not points
+    assert z1_action.apply_word_all((1,), iter(points)) == [(1,), (5,)]
+    assert z1_action.apply_word_all((1,), []) == []
 
 
 @pytest.mark.parametrize("letter", [0, 3, -3, "x", None, 1.5, [1]])
@@ -153,7 +163,7 @@ def test_bad_letter_after_a_run_raises(zd2_action, letter):
         with pytest.raises(InvalidInputError):
             zd2_action.apply_word(w, (0, 0))
         with pytest.raises(InvalidInputError):
-            zd2_action.powers(w)
+            zd2_action.apply_word_all(w, [(0, 0)])
 
 
 @pytest.mark.parametrize("word", [(True, 1), (1.0, 1), (1, True)])
@@ -162,7 +172,7 @@ def test_letter_equal_to_the_run_before_it_must_be_an_int(z1_action, word):
     with pytest.raises(InvalidInputError):
         z1_action.apply_word(word, (0,))
     with pytest.raises(InvalidInputError):
-        z1_action.powers(word)
+        z1_action.apply_word_all(word, [(0,)])
 
 
 def test_equal_letters_form_one_run_whatever_their_identity():
@@ -170,8 +180,12 @@ def test_equal_letters_form_one_run_whatever_their_identity():
     act = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))] * 300)
     w = tuple(int("300") for _ in range(3))
     assert len({id(s) for s in w}) == 3
-    assert act.powers(w) == [(act.generators[299], 3)]
+    gen = act.generators[299]  # all 300 are this one object
+    runs = []  # the k of every power call: one per point moved by one run
+    gen.power = lambda p, k: runs.append(k) or O.Translation.power(gen, p, k)
     assert act.apply_word(w, (0,)) == (3,)
+    assert act.apply_word_all(w, [(0,), (5,)]) == [(3,), (8,)]
+    assert runs == [3, 3, 3]
 
 
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(

@@ -242,7 +242,10 @@ def _path_graph_with_perm(perm, **fields):
     return {"space": space, "generators": [{"kind": "perm", "p": perm}], **fields}
 
 
-PERM_A = [10, 15, 0, 1, 4, 14, 13, 12, 9, 5, 8, 3, 11, 6, 7, 2]
+# PERM_A and PERM_D fail the separation postcondition whether or not Q0 is
+# detected before the recursion: neither case rests on the eager Q0 scan.
+PERM_A = [8, 7, 5, 3, 1, 0, 10, 12, 14, 6, 11, 15, 13, 2, 9, 4]
+PERM_D = [5, 15, 10, 6, 3, 2, 9, 11, 0, 12, 14, 13, 8, 7, 4, 1]
 PERM_B = [2, 13, 10, 6, 4, 14, 7, 15, 0, 5, 1, 9, 3, 12, 11, 8]
 # 40 vertices, so that epsilon = 36/18 = 2 leaves points of C out of its net.
 PERM_C = [
@@ -257,14 +260,14 @@ PERM_C = [
         (
             "separate",
             _path_graph_with_perm(
-                PERM_A, P=[{"point": v, "eps": "9/2"} for v in (0, 8)], Q=[2, 9]
+                PERM_A, P=[{"point": v, "eps": "7/2"} for v in (10, 8)], Q=[15, 7]
             ),
             "separation postcondition",
         ),
         (
             "compact",
             _path_graph_with_perm(
-                PERM_A, C=[{"point": v, "delta": "9"} for v in (0, 8)], D=[2, 9]
+                PERM_D, C=[{"point": v, "delta": "9"} for v in (1, 12)], D=[0, 5]
             ),
             "separation postcondition",
         ),
@@ -402,6 +405,12 @@ Z1 = {
 VALID_SEPARATE = {**Z1, "P": [{"point": [0], "eps": "2"}], "Q": [[0]]}
 VALID_SEQUENCE = {**Z1, "tuple": [[0]], "eps": "2", "n": 2}
 C2 = {"kind": "finite_graph", "n": 2, "edges": [[0, 1, 1]]}
+FREE2 = {
+    "space": {"kind": "free", "rank": 2},
+    "generators": [{"kind": "leftmul", "w": "a"}],
+    "P": [],
+    "Q": [],
+}
 VALID_DISCRETE = {**Z1, "P": [[0]], "Q": [[0]]}
 Z1_CERT = str(pathlib.Path(__file__).resolve().parent / "golden" / "z1_single.out")
 Z1_CERT_DOC = json.loads(pathlib.Path(Z1_CERT).read_text(encoding="utf-8"))
@@ -695,6 +704,93 @@ def _probe(name, command, doc, *extra, message):
             "separate",
             {"space": {**C2, "n": 2000, "edges": []}, "generators": [], "P": [], "Q": []},
             message="not connected",
+        ),
+        _probe(
+            "graph-with-enough-edges-not-connected",
+            "separate",
+            {
+                "space": {**C2, "n": 4, "edges": [[0, 1, 1], [0, 1, 2], [2, 3, 1]]},
+                "generators": [],
+                "P": [],
+                "Q": [],
+            },
+            message="not connected",
+        ),
+        _probe(
+            "translation-empty",
+            "separate",
+            {**VALID_SEPARATE, "generators": [{"kind": "translation", "v": []}]},
+            message="translation vector must be nonempty",
+        ),
+        _probe(
+            "perm-repeated-entry",
+            "separate",
+            {"space": C2, "generators": [{"kind": "perm", "p": [0, 0]}], "P": [], "Q": []},
+            message="not a permutation",
+        ),
+        _probe(
+            "generator-without-kind",
+            "separate",
+            {**VALID_SEPARATE, "generators": [{}]},
+            message="generator description must have a 'kind'",
+        ),
+        _probe(
+            "space-without-kind",
+            "separate",
+            {**VALID_SEPARATE, "space": {}},
+            message="space description must have a 'kind'",
+        ),
+        _probe(
+            "norm-l2",
+            "separate",
+            {**VALID_SEPARATE, "space": {**Z1["space"], "norm": "l2"}},
+            message="norm must be",
+        ),
+        _probe(
+            "free-rank-27",
+            "separate",
+            {**FREE2, "space": {"kind": "free", "rank": 27}},
+            message="rank must be in 1..26",
+        ),
+        _probe(
+            "free-point-an-int",
+            "separate",
+            {**FREE2, "P": [{"point": 5, "eps": "1"}]},
+            message="free-group point must be a string",
+        ),
+        _probe(
+            "free-point-dangling-inverse",
+            "separate",
+            {**FREE2, "P": [{"point": "'a", "eps": "1"}]},
+            message="dangling inverse mark",
+        ),
+        _probe(
+            "eps-bool",
+            "separate",
+            {**VALID_SEPARATE, "P": [{"point": [0], "eps": True}]},
+            message="expected a rational, got a bool",
+        ),
+        _probe(
+            "eps-a-list",
+            "separate",
+            {**VALID_SEPARATE, "P": [{"point": [0], "eps": [1]}]},
+            message="expected a rational, got list",
+        ),
+        _probe(
+            "fullexist-duplicate-anchor",
+            "fullexist",
+            {**Z1, "anchors": [[0], [0]], "obstacles": [{"point": [5], "eps": "2"}]},
+            message="duplicate point (0,) in anchors",
+        ),
+        _probe(
+            "fullexist-duplicate-obstacle",
+            "fullexist",
+            {
+                **Z1,
+                "anchors": [[5]],
+                "obstacles": [{"point": [0], "eps": "2"}, {"point": [0], "eps": "3"}],
+            },
+            message="duplicate point (0,) in obstacles",
         ),
     ],
 )
@@ -1050,6 +1146,12 @@ def test_experiment_deterministic(capsys):
 def test_experiment_rejects_unknown_kind(capsys):
     code, _, err = run(capsys, "experiment", "--kinds", "nope", "-n", "1")
     assert code == 3
+
+
+def test_experiment_refuses_an_empty_kind_list(capsys):
+    code, out, err = run(capsys, "experiment", "--kinds", ",")
+    assert (code, out) == (3, "")
+    assert err == "invalid input: at least one instance kind is required\n"
 
 
 def test_experiment_rejects_compact_kind(capsys):

@@ -26,6 +26,7 @@ INSTANCE_RUNS = {
     "empty_p": ("separate", 0),
     "escape_zd2": ("escape", 0),
     "fallback": ("separate", 0),
+    "free2_seed3": ("separate", 0),
     "fullexist_z": ("fullexist", 0),
     "net_z": ("net", 0),
     "orbit_zd2": ("orbit", 0),

@@ -1,6 +1,6 @@
 """Dead code in the package (imports a module never uses, definitions
-nothing calls), recursion and assertions.  All are found from the source
-alone, with ``ast``."""
+nothing calls, methods nothing reads), recursion and assertions.  All are
+found from the source alone, with ``ast``."""
 
 import ast
 import pathlib
@@ -109,3 +109,35 @@ def test_no_assertion_in_the_package():
         or isinstance(node, ast.Name) and node.id == "AssertionError"
     ]
     assert found == []
+
+
+def _unread_methods():
+    """Methods (dunders aside) whose name no package module reads as an
+    attribute (``x.name``), as ``module: Class.name``."""
+    read = {
+        node.attr
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    for module, tree in MODULES.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    name = node.name if isinstance(node, ast.FunctionDef) else "__"
+                    if not name.startswith("__") and name not in read:
+                        yield f"{module}: {cls.name}.{name}"
+
+
+def test_every_method_is_read():
+    allowed = [
+        # the tests' letter-by-letter reference for apply_word
+        "actions.py: GeneratedAction.step",
+        # perfbench's sequence workload checks its generators by it
+        "actions.py: GeneratedAction.generators_to_json",
+        # argparse calls it on a usage error
+        "cli.py: _Parser.error",
+        # perfbench/tracer.py reads a trace's levels by it
+        "separation.py: Trace.levels",
+    ]
+    assert [m for m in _unread_methods() if m not in allowed] == []
