@@ -13,9 +13,11 @@ point with its parent's index and the letter that reached it, builds a word
 only for the points a search returns or keeps, and never tries the letter
 that undoes a point's own last letter, because that move lands on the
 parent.  This assumes that each generator's backward map inverts its
-forward map, which the "inverse" check of ``verify_isometry`` tests.  Every
-search is bounded by an ``OrbitBudget``; running out of budget (or
-exhausting a finite orbit) raises ``BudgetExhaustedError``.
+forward map, which the "inverse" check of ``verify_isometry`` tests.  A
+search may skip the subtree of a point, the points whose first word runs
+through it; the walk then builds none of them.  Every search is bounded by
+an ``OrbitBudget``; running out of budget (or exhausting a finite orbit)
+raises ``BudgetExhaustedError``.
 
 The parent links, letters and word lengths form the walk's skeleton.  When
 every generator is exactly a ``Translation``, ``LeftMultiplication`` or
@@ -358,13 +360,20 @@ class OrbitWalk:
 
     Iterating yields each orbit point once, p first; ``length`` is the word
     length of the point last yielded, and ``word(i)`` the first word
-    reaching the i-th point yielded (p is the 0th), read off the parent
-    links.  No point is moved by the letter that undoes its own last letter,
-    so every word is reduced as built.  The walk ends when the orbit closes,
-    after the points at length ``budget.max_word_length``, or when a point
-    past ``budget.max_points`` appears; ``stats.points`` counts each point
-    as it is yielded.  Each iteration walks afresh; ``word`` and ``len``
-    read the latest walk.
+    reaching the i-th point passed (p is the 0th), read off the parent
+    links and kept for the words built after it.  No point is moved by the
+    letter that undoes its own last letter, so every word is reduced as
+    built.  The walk ends when the orbit closes, after the points at length
+    ``budget.max_word_length``, or when a point past ``budget.max_points``
+    appears; ``stats.points`` counts each point as it is yielded.  Each
+    iteration walks afresh; ``word``, ``len`` and ``skip`` act on the latest
+    walk.
+
+    ``skip()`` leaves out the subtree of the point last yielded: every point
+    whose first word runs through it.  The walk builds and yields none of
+    them but still passes them, so a point has the same index, word and
+    length as in a walk without skips, and ``word()`` with no index is the
+    word of the point last yielded.
 
     The parent links, letters and word lengths come from a ``_Skeleton``.
     When every generator is exactly a ``Translation``, ``LeftMultiplication``
@@ -382,17 +391,26 @@ class OrbitWalk:
         self._start = (action, p, budget, stats)
 
     def __len__(self):
-        """The number of points the walk has found, p included."""
+        """The number of points the walk has passed, p and skipped points
+        included."""
         return len(self._points)
 
-    def word(self, i):
-        """The word reaching the i-th point yielded, read off its parent links."""
-        parents, letters = self._parents, self._letters
-        w = []
-        while i:
-            w.append(letters[i])
+    def skip(self):
+        """Leave out the subtree of the point last yielded."""
+        self._points[-1] = None
+
+    def word(self, i=None):
+        """The word reaching the i-th point passed, by default the point last
+        yielded."""
+        parents, letters, words = self._parents, self._letters, self._words
+        if i is None:
+            i = len(self._points) - 1
+        start, head = i, []
+        while i not in words:
+            head.append(letters[i])
             i = parents[i]
-        return tuple(w)
+        w = words[start] = tuple(head) + words[i]
+        return w
 
     def __iter__(self):
         action, p, budget, stats = self._start
@@ -405,6 +423,7 @@ class OrbitWalk:
             base = None
         moves = dict(action.moves())
         self._points = points = [p]
+        self._words = {0: ()}  # the words built so far, by index
         self.length = 0
         if stats is not None:
             stats.points += 1
@@ -417,7 +436,11 @@ class OrbitWalk:
                 if n == end:
                     return
             for n in range(n, end):
-                x = moves[letters[n]](points[parents[n]]) if base is None else base[n]
+                x = points[parents[n]]
+                if x is None:  # in a skipped subtree
+                    points.append(None)
+                    continue
+                x = moves[letters[n]](x) if base is None else base[n]
                 points.append(x)
                 self.length = lengths[n]
                 if stats is not None:

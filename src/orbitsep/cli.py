@@ -102,16 +102,29 @@ def _list(entries, what):
     return entries
 
 
+# Every top-level key an --in document may hold: the fields some subcommand
+# reads, and the "kind" and "seed" that `instance` writes.
+_INSTANCE_KEYS = frozenset(
+    "space generators budget P Q p eps C D tuple n anchors obstacles kind seed".split()
+)
+
+
 class _Instance:
     """The --in document, read once; its space and action are built once each.
 
-    Fields are decoded when a subcommand asks for them, in the order it asks,
-    so a malformed document reports its first bad field.
+    A key outside ``_INSTANCE_KEYS`` is refused first, so a misspelt field
+    is not silently dropped.  Fields are decoded when a subcommand asks for
+    them, in the order it asks, so a malformed document reports its first
+    bad field.
     """
 
     def __init__(self, path):
         self.path = path
         self.obj = _load_json(path)
+        if isinstance(self.obj, dict):
+            unknown = sorted(set(self.obj) - _INSTANCE_KEYS)
+            if unknown:
+                raise InvalidInputError(f"{path}: unknown field {unknown[0]!r}")
         self.space = space_from_json(self.field("space"))
 
     def field(self, key):

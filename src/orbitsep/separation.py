@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .actions import DEFAULT_BUDGET, OrbitWalk, find_escape
+from .actions import DEFAULT_BUDGET, OrbitWalk, Shift, Translation, find_escape
 from .errors import (
     BudgetExhaustedError, InvalidInputError, NotIsometricError, TraceReplayError
 )
@@ -90,13 +90,19 @@ def _check_points(action, points, what="Q"):
     require_distinct(points, what)
 
 
+# A subtree test costs a distance call or more, while a subtree found dead a
+# few lengths late costs only the points in between, so the Q0 scan tests
+# subtrees at every third word length only.
+_SUBTREE_TEST_EVERY = 3
+
+
 def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     """Bounded detection of Q-points whose radius-ball meets the pivot orbit.
 
     Scans the budgeted orbit once, returning the first witness word per
     detected point, keyed in Q order.  The Q-points are kept in one list
     sorted by d(pivot, y) and dropped when found; the scan stops when the
-    list is empty.  Two consequences of the triangle inequality (generators
+    list is empty.  Three consequences of the triangle inequality (generators
     are isometries) keep it from comparing pairs that cannot meet:
 
     * Horizon.  With D the largest displacement of the pivot by one signed
@@ -108,11 +114,23 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
       x is compared only with the points less than the radius away from
       d(pivot, x), found by bisection; the window lies inside the joined
       prefix.  While one point has joined, it is compared directly.
+    * Subtrees.  When the generators commute (one generator, or all
+      exactly ``Translation`` or all exactly ``Shift``; a subclass may
+      not), every orbit point has the pivot's displacements:
+      d(s.g.p, g.p) = d(g.s.p, g.p) = d(s.p, p).  So the walk's descendants
+      of a point x at length k lie within (max_word_length - k) * D of it,
+      and once no pending y is closer to x than
+      radius + (max_word_length - k) * D, the walk skips x's subtree.  Points
+      are tested at every third length, and only while the nearest pending
+      y has d(pivot, y) >= radius + (max_word_length - 2k) * D, since below
+      that d(x, y) <= k * D + d(pivot, y) keeps x in reach.  A test tries
+      the y that kept the last tested point in reach, then, farthest first,
+      the y a bisection on d(pivot, x) leaves within reach.
 
-    Both prunings are exact, so every witness is the first in BFS order, as
-    a test of every pair would find it.  Missing a true member here is
-    sound: the caller repairs it by restarting with the witness it stumbled
-    on.
+    All three prunings are exact, so every witness is the first in BFS
+    order, as a test of every pair would find it.  Missing a true member
+    here is sound: the caller repairs it by restarting with the witness it
+    stumbled on.
     """
     if not q_points:
         return {}
@@ -121,35 +139,56 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
     rn, rd = rf.numerator, rf.denominator
     # Keys are distances times rd, so the radius reads rn and D reads step.
     step = max(space.distance(pivot, move(pivot)) for _, move in action.moves()) * rd
-    reach = rn + budget.max_word_length * step
+    top = budget.max_word_length
+    reach = rn + top * step
     keyed = sorted((space.distance(pivot, y) * rd, i) for i, y in enumerate(q_points))
     keys = [key for key, _ in keyed if key < reach]
     if not keys:
         return {}
     ys = [q_points[i] for _, i in keyed[: len(keys)]]
-    found = {}  # Q-point -> index of its first orbit point in the walk
+    gens = action.generators
+    commute = len(gens) == 1 or {type(g) for g in gens} in ({Translation}, {Shift})
+    found = {}  # Q-point -> its witness word
+    keeper = ys[-1]  # the y that last kept a tested subtree in reach
     walk = OrbitWalk(action, pivot, budget, stats)
-    length = joined = None
-    for n, x in enumerate(walk):
+    length = None
+    for x in walk:
         if walk.length != length:
             length = walk.length
             joined = rn + length * step  # keys below it have joined
-        if keys[0] >= joined:
+            left = top - length  # the lengths a subtree may still descend
+            # x's subtree lies within spread - rn of x, and a key below floor
+            # keeps every x of this length in reach of its y.
+            spread = rn + left * step
+            floor = spread - length * step
+            tested = commute and left > 0 and left % _SUBTREE_TEST_EVERY == 0
+        if keys[0] < joined:
+            if len(keys) == 1 or keys[1] >= joined:
+                if space.distance(x, ys[0]) * rd < rn:
+                    found[ys[0]] = walk.word()
+                    del keys[0], ys[0]
+            else:
+                t = space.distance(pivot, x) * rd
+                lo = bisect_right(keys, t - rn)
+                for i in reversed(range(lo, bisect_left(keys, t + rn, lo))):
+                    if space.distance(x, ys[i]) * rd < rn:
+                        found[ys[i]] = walk.word()
+                        del keys[i], ys[i]
+            if not keys:
+                break
+        if not tested or keys[0] < floor:
             continue
-        if len(keys) == 1 or keys[1] >= joined:
-            if space.distance(x, ys[0]) * rd < rn:
-                found[ys[0]] = n
-                del keys[0], ys[0]
+        if keeper not in found and space.distance(x, keeper) * rd < spread:
+            continue
+        t = space.distance(pivot, x) * rd
+        lo = bisect_right(keys, t - spread)
+        for i in reversed(range(lo, bisect_left(keys, t + spread, lo))):
+            if space.distance(x, ys[i]) * rd < spread:
+                keeper = ys[i]
+                break
         else:
-            t = space.distance(pivot, x) * rd
-            lo = bisect_right(keys, t - rn)
-            for i in reversed(range(lo, bisect_left(keys, t + rn, lo))):
-                if space.distance(x, ys[i]) * rd < rn:
-                    found[ys[i]] = n
-                    del keys[i], ys[i]
-        if not keys:
-            break
-    return {y: walk.word(found[y]) for y in q_points if y in found}
+            walk.skip()
+    return {y: found[y] for y in q_points if y in found}
 
 
 def _enlarge(action, q_points, q0, a):

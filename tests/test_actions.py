@@ -580,6 +580,82 @@ def test_interrupted_skeleton_is_forgotten(monkeypatch):
     assert len(A._skeletons) == 1
 
 
+def _skip_rule(seed, share):
+    """Whether a walk skips the subtree of the point a word reaches: a
+    seeded coin per word, so a walk and its reference skip alike."""
+    return lambda w: random.Random(f"{seed} {w}").random() < share
+
+
+def _reference_with_skips(action, p, budget, skips):
+    """The reference stream without the points whose first word runs through
+    a point ``skips`` picks: (point, length, word) for each point kept."""
+    kept, skipped = [], set()
+    for x, w in _reference_orbit(action, p, budget):
+        if any(w[j:] in skipped for j in range(1, len(w) + 1)):
+            continue
+        kept.append((x, len(w), w))
+        if skips(w):
+            skipped.add(w)
+    return kept
+
+
+def _walk_with_skips(action, p, budget, skips):
+    """An OrbitWalk that skips the subtree of each point ``skips`` picks."""
+    stats = O.SearchStats()
+    walk = O.OrbitWalk(action, p, budget, stats)
+    got = []
+    for x in walk:
+        got.append((x, walk.length, walk.word()))
+        if skips(got[-1][2]):
+            walk.skip()
+    assert stats.points == len(got)
+    return walk, got
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_ACTIONS) + ["reflection"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    budget=st.sampled_from(WALK_BUDGETS),
+    share=st.sampled_from([0, 0.1, 0.4, 1]),
+)
+def test_walk_skips_subtrees(kind, seed, budget, share):
+    """A walk that skips subtrees yields the reference BFS's points, lengths
+    and words less every point whose first word runs through a skipped one,
+    on a shared skeleton while it grows and when it is replayed, and on a
+    skeleton of its own; it passes every point, so ``len`` and ``word(i)``
+    are those of the walk without skips."""
+    A._skeletons.clear()
+    if kind == "reflection":
+        space, gens, _ = GATED_ACTIONS[kind]
+    else:
+        space, gens = WALK_ACTIONS[kind]
+    action = O.GeneratedAction(space, gens)
+    skips = _skip_rule(seed, share)
+    for p in _pivots(action, seed, 2):
+        walk, got = _walk_with_skips(action, p, budget, skips)
+        assert got == _reference_with_skips(action, p, budget, skips)
+        expected = _reference_orbit(action, p, budget)
+        assert len(walk) == len(expected)
+        assert [walk.word(i) for i in range(len(walk))] == [w for _, w in expected]
+
+
+def test_walk_builds_no_skipped_point(monkeypatch):
+    """Replaying a shared skeleton, a walk moves only the points it yields."""
+    A._skeletons.clear()
+    action = _fresh("zd2-l1")
+    budget = O.OrbitBudget(3000, 12)
+    _Recorded(action, (0, 0), budget).run()  # grows the skeleton
+    moved = []
+    forward, backward = O.Translation.forward, O.Translation.backward
+    monkeypatch.setattr(O.Translation, "forward", lambda g, p: moved.append(p) or forward(g, p))
+    monkeypatch.setattr(O.Translation, "backward", lambda g, p: moved.append(p) or backward(g, p))
+    skips = lambda w: len(w) == 3 and w[-1] != 1
+    walk, got = _walk_with_skips(action, (5, -2), budget, skips)
+    assert len(moved) == len(got) - 1
+    assert len(got) < len(walk) == len(_reference_orbit(action, (5, -2), budget))
+
+
 def test_find_escape_derived_example(zd2_action):
     w = O.find_escape(zd2_action, (0, 0), [(0, 0), (1, 1)], 2)
     assert w == (-1, -1)

@@ -10,6 +10,7 @@ import pytest
 
 import orbitsep.oracle
 from conftest import instance_path
+from orbitsep import cli
 from orbitsep.cli import main
 
 
@@ -480,6 +481,12 @@ def _probe(name, command, doc, *extra, message):
     "command, doc, extra, message",
     [
         _probe("P-not-a-list", "separate", {**VALID_SEPARATE, "P": 5}, message="array"),
+        _probe(
+            "budgets-misspelt",
+            "separate",
+            {**VALID_SEPARATE, "budgets": {"max_points": 1, "max_word_length": 1}},
+            message="unknown field 'budgets'",
+        ),
         _probe("Q-not-a-list", "separate", {**VALID_SEPARATE, "Q": 5}, message="array"),
         _probe(
             "generators-not-a-list",
@@ -812,6 +819,15 @@ def test_malformed_input_exits_3(capsys, tmp_path, command, doc, extra, message)
     assert out == ""
     assert err.startswith("invalid input:") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", orbitsep.oracle.INSTANCE_KINDS)
+def test_written_instances_have_no_unknown_field(capsys, tmp_path, kind):
+    """Every key ``orbitsep instance`` writes is one an --in document may hold."""
+    assert main(["instance", "--kind", kind, "--seed", "3"]) == 0
+    infile = tmp_path / "instance.json"
+    infile.write_text(capsys.readouterr().out)
+    assert cli._Instance(str(infile)).obj["kind"] == kind  # raises on an unknown field
 
 
 @pytest.mark.parametrize("where", sorted(LETTER_9))

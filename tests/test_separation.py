@@ -588,6 +588,9 @@ def test_checker_shares_no_search_code(checker):
         "_skeletons",
         "_detect_q0",
         "_separate",
+        "_SUBTREE_TEST_EVERY",
+        "skip",
+        "_words",
     }
 
 
@@ -603,6 +606,20 @@ def _full_scan_q0(action, pivot, q_points, radius, budget):
             if y not in found and space.distance(x, y) < radius:
                 found[y] = w
     return {y: found[y] for y in q_points if y in found}
+
+
+class _Reflection(O.Translation):
+    """On ℤ: x -> -x, a Translation by class.  It moves x by 2|x|, so orbit
+    points do not share the pivot's displacement, and it does not commute
+    with a translation."""
+
+    def forward(self, p):
+        return (-p[0],)
+
+    backward = forward
+
+    def power(self, p, k):
+        return self.forward(p) if k % 2 else p
 
 
 def _q0_actions():
@@ -635,6 +652,7 @@ def _q0_actions():
                 O.VertexPermutation([(1 - i) % 12 for i in range(12)]),
             ],
         ),
+        "reflection": (O.ZdSpace(1, "l1"), [O.Translation((1,)), _Reflection((1,))]),
     }
 
 
@@ -694,9 +712,18 @@ def test_detect_q0_matches_full_scan(kind):
 
 
 _free_points = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(O.reduce_word)
+_z2_points = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+# The kinds whose generators commute (every zd kind, shift, c4), and controls
+# whose generators do not (free2, graph_halves, reflection).
 _Q0_PROPERTY_KINDS = {
-    "free2": (_q0_actions()["free2"], _free_points),
-    "zd_linf": (_q0_actions()["zd_linf"], st.tuples(st.integers(-8, 8), st.integers(-8, 8))),
+    "free2": _free_points,
+    "zd_linf": _z2_points,
+    "zd_l1": _z2_points,
+    "scaled": _z2_points,
+    "shift": st.integers(-8, 8),
+    "c4": st.integers(0, 3),
+    "graph_halves": st.integers(0, 11),
+    "reflection": st.tuples(st.integers(-8, 8)),
 }
 
 
@@ -704,15 +731,31 @@ _Q0_PROPERTY_KINDS = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_detect_q0_property(kind, data):
-    (space, gens), points = _Q0_PROPERTY_KINDS[kind]
+    space, gens = _q0_actions()[kind]
+    points = _Q0_PROPERTY_KINDS[kind]
     action = O.GeneratedAction(space, gens)
     pivot = data.draw(points)
     q_points = data.draw(st.lists(points, min_size=1, max_size=16, unique=True))
     radius = Fraction(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3)))
-    budget = data.draw(st.sampled_from([O.OrbitBudget(40, 3), O.OrbitBudget(400, 5)]))
+    budget = data.draw(
+        st.sampled_from([O.OrbitBudget(40, 3), O.OrbitBudget(400, 5), O.OrbitBudget(1000, 9)])
+    )
     got = _detect_q0(action, pivot, q_points, radius, budget)
     expected = _full_scan_q0(action, pivot, q_points, radius, budget)
     assert list(got.items()) == list(expected.items())
+
+
+def test_detect_q0_prunes_no_subtree_of_a_translation_subclass():
+    """A reflection of ℤ is a Translation by class but does not commute with
+    a translation.  From pivot 1 every generator moves the pivot by at most
+    D = 2, yet the reflection moves 4 by 8: the point 3 at length 2 is
+    7 = radius + 3D from -4, and the only witness for -4 runs through it."""
+    space, gens = _q0_actions()["reflection"]
+    action = O.GeneratedAction(space, gens)
+    budget = O.OrbitBudget(1000, 5)
+    assert max(space.distance((1,), move((1,))) for _, move in action.moves()) == 2
+    assert _full_scan_q0(action, (1,), [(-4,)], 1, budget) == {(-4,): (2, 1, 1, 1)}
+    assert _detect_q0(action, (1,), [(-4,)], 1, budget) == {(-4,): (2, 1, 1, 1)}
 
 
 class _CountingFreeSpace(O.FreeSpace):
@@ -806,7 +849,7 @@ def test_detect_q0_distance_calls_on_zd2_pool(monkeypatch):
             continue
         solved += 1
         O.separate_points(inst.action(), inst.weighted_p, inst.q_points, inst.budget)
-    assert totals == [114, 55163, 82870]
+    assert totals == [114, 38919, 28034]
 
 
 def test_detect_q0_walks_no_orbit_point_without_a_q_point_in_reach():
