@@ -367,7 +367,7 @@ class OrbitWalk:
     ``budget.max_word_length``, or when a point past ``budget.max_points``
     appears; ``stats.points`` counts each point as it is yielded.  Each
     iteration walks afresh; ``word``, ``len`` and ``skip`` act on the latest
-    walk.
+    walk, and ``len`` is 0 before the first.
 
     ``skip()`` leaves out the subtree of the point last yielded: every point
     whose first word runs through it.  The walk builds and yields none of
@@ -389,6 +389,7 @@ class OrbitWalk:
     def __init__(self, action, p, budget=DEFAULT_BUDGET, stats=None):
         action.space.check_point(p)
         self._start = (action, p, budget, stats)
+        self._points, self._parents, self._letters, self._words = [], [], [], {}
 
     def __len__(self):
         """The number of points the walk has passed, p and skipped points

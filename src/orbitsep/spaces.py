@@ -106,7 +106,9 @@ class FreeSpace(MetricSpace):
 
     ``d(u, v) = |u^-1 v|`` equals ``len(u) + len(v) - 2 * lcp(u, v)`` where
     ``lcp`` is the longest common prefix, since cancellation in ``u^-1 v``
-    happens exactly along the shared prefix.
+    happens exactly along the shared prefix.  When either word is empty or
+    their first letters differ, ``lcp`` is 0 and the distance is
+    ``len(u) + len(v)`` with no loop.
     """
 
     kind = "free"
@@ -118,11 +120,14 @@ class FreeSpace(MetricSpace):
         self.rank = rank
 
     def distance(self, p, q):
-        i = 0
-        m = min(len(p), len(q))
+        if not p or not q or p[0] != q[0]:
+            return len(p) + len(q)
+        lp, lq = len(p), len(q)
+        m = lp if lp < lq else lq
+        i = 1
         while i < m and p[i] == q[i]:
             i += 1
-        return len(p) + len(q) - 2 * i
+        return lp + lq - 2 * i
 
     def check_point(self, p):
         if not isinstance(p, tuple):
@@ -163,17 +168,25 @@ def word_to_string(word):
 
 
 def word_from_string(text):
-    """Parse ``"ab'a"`` notation into a signed-letter tuple."""
+    """Parse ``"ab'a"`` notation into a signed-letter tuple.
+
+    Each ``'`` marks the letter just before it, so a word has one spelling:
+    a mark with no letter before it, or after another mark, is refused.
+    """
     letters = []
+    prev = ""
     for ch in text:
         if ch == "'":
             if not letters:
                 raise InvalidInputError(f"dangling inverse mark in {text!r}")
+            if prev == "'":
+                raise InvalidInputError(f"doubled inverse mark in {text!r}")
             letters[-1] = -letters[-1]
         elif ch in _LETTERS:
             letters.append(_LETTERS.index(ch) + 1)
         else:
             raise InvalidInputError(f"bad character {ch!r} in word {text!r}")
+        prev = ch
     return tuple(letters)
 
 

@@ -32,10 +32,17 @@ def reduce_word(letters):
 
 
 def compose(u, v):
-    """Concatenate two reduced words, cancelling at the seam."""
-    i = len(u)
-    j = 0
-    while i > 0 and j < len(v) and u[i - 1] == -v[j]:
+    """Concatenate two reduced words, cancelling at the seam.
+
+    When either word is empty or ``u``'s last letter does not undo ``v``'s
+    first, nothing cancels and the result is ``u + v`` at once.
+    """
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
+    i = len(u) - 1
+    j = 1
+    n = len(v)
+    while i > 0 and j < n and u[i - 1] == -v[j]:
         i -= 1
         j += 1
     return u[:i] + v[j:]

@@ -314,6 +314,15 @@ def test_walk_matches_reference_bfs(kind, seed, budget, stop):
     assert stats.points == min(stop, len(expected))
 
 
+def test_walk_len_before_iteration():
+    """A walk has passed no point before it runs, so ``list()`` can ask its
+    length for a size hint."""
+    action = O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((1,))])
+    walk = O.OrbitWalk(action, (0,), O.OrbitBudget(10, 3))
+    assert len(walk) == 0
+    assert list(walk) == [x for x in walk] == [(0,), (1,), (-1,), (2,), (-2,), (3,), (-3,)]
+
+
 class _Lopsided:
     """On the integers: forward adds 1 but backward adds 2, so backward does
     not invert forward."""

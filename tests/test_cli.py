@@ -772,6 +772,12 @@ def _probe(name, command, doc, *extra, message):
             message="dangling inverse mark",
         ),
         _probe(
+            "free-point-double-inverse",
+            "separate",
+            {**FREE2, "P": [{"point": "a''b", "eps": "1"}]},
+            message="doubled inverse mark",
+        ),
+        _probe(
             "eps-bool",
             "separate",
             {**VALID_SEPARATE, "P": [{"point": [0], "eps": True}]},

@@ -95,6 +95,9 @@ def test_free_word_string_roundtrip():
         assert O.word_to_string(w) == text
     with pytest.raises(InvalidInputError):
         O.word_from_string("x!")
+    for text in ("'a", "a''", "a''b", "ab'''"):  # one spelling per word
+        with pytest.raises(InvalidInputError):
+            O.word_from_string(text)
     with pytest.raises(InvalidInputError):
         f.check_point((1, -1))  # not reduced
     with pytest.raises(InvalidInputError):
@@ -313,6 +316,26 @@ def test_free_metric_axioms(x, y, z):
     assert sp.distance(x, z) <= sp.distance(x, y) + sp.distance(y, z)
     # the metric is the length of the quotient word
     assert sp.distance(x, y) == len(O.compose(O.invert(x), y))
+
+
+@st.composite
+def free_word_pairs(draw):
+    """(x, y) with y a prefix of x plus a tail, so long common prefixes and
+    cancellation at the seam of x^-1 y are common; either may be empty."""
+    x = draw(free_words)
+    y = O.reduce_word(x[: draw(st.integers(0, len(x)))] + draw(free_words))
+    return draw(st.sampled_from([(x, y), (y, x)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_word_pairs())
+def test_free_distance_and_compose_match_stack_reduction(pair):
+    """distance and compose against reduce_word's stack reduction, which
+    shares neither's first-letter exit."""
+    x, y = pair
+    assert O.FreeSpace(2).distance(x, y) == len(O.reduce_word(O.invert(x) + y))
+    assert O.compose(x, y) == O.reduce_word(x + y)
+    assert O.compose(O.invert(x), y) == O.reduce_word(O.invert(x) + y)
 
 
 @settings(max_examples=100, deadline=None)
