@@ -760,6 +760,18 @@ def _probe(name, command, doc, *extra, message):
             message="rank must be in 1..26",
         ),
         _probe(
+            "zd-dim-1000000",
+            "verify",
+            {"space": {"kind": "zd", "dim": 1000000, "norm": "linf"}},
+            message="dimension must be in 1..64",
+        ),
+        _probe(
+            "zd-dim-10**30",
+            "separate",
+            {**VALID_SEPARATE, "space": {**Z1["space"], "dim": 10**30}},
+            message="dimension must be in 1..64",
+        ),
+        _probe(
             "free-point-an-int",
             "separate",
             {**FREE2, "P": [{"point": 5, "eps": "1"}]},

@@ -14,12 +14,26 @@ def test_zd_linf_distance():
     z = O.ZdSpace(2, "linf")
     assert z.distance((0, 0), (1, 3)) == 3
     assert z.distance((1, 3), (1, 3)) == 0
+    assert z.distance((4, -1), (-3, 2)) == 7
+    assert O.ZdSpace(1, "linf").distance((5,), (-2,)) == 7
+    assert O.ZdSpace(1, "linf").distance((-2,), (5,)) == 7
+    assert O.ZdSpace(3, "linf").distance((0, 0, 0), (1, -5, 3)) == 5
 
 
 def test_zd_l1_distance():
     z = O.ZdSpace(2, "l1")
     assert z.distance((0, 0), (1, 3)) == 4
     assert z.distance((-2, 5), (1, 5)) == 3
+    assert z.distance((4, -1), (-3, 2)) == 10
+    assert O.ZdSpace(1, "l1").distance((5,), (-2,)) == 7
+    assert O.ZdSpace(1, "l1").distance((-2,), (-2,)) == 0
+    assert O.ZdSpace(3, "l1").distance((0, 0, 0), (1, -5, 3)) == 9
+
+
+def test_zd_dimension_cap():
+    assert O.ZdSpace(O.spaces.MAX_DIM).dim == 64
+    with pytest.raises(InvalidInputError, match="dimension must be in 1..64"):
+        O.ZdSpace(65)
 
 
 def test_discrete_shift_distance():
@@ -285,19 +299,53 @@ def test_require_distinct():
 
 
 coords = st.integers(min_value=-40, max_value=40)
-zd2_points = st.tuples(coords, coords)
+# Small coordinates meet and cancel often; huge ones pass 2**64 either way.
+wide_coords = st.one_of(coords, st.integers(min_value=-(2**80), max_value=2**80))
+
+
+def zd_points(dim, count):
+    """``count`` points of Z^dim, dim in 1..3: the two unrolled dimensions
+    and the generic one."""
+    point = st.tuples(*[wide_coords] * dim)
+    return st.tuples(*[point] * count)
+
+
+zd_triples = st.integers(1, 3).flatmap(lambda dim: zd_points(dim, 3))
 
 
 @settings(max_examples=150, deadline=None)
-@given(zd2_points, zd2_points, zd2_points)
-def test_zd_metric_axioms(x, y, z):
+@given(zd_triples)
+def test_zd_metric_axioms(triple):
+    x, y, z = triple
     for norm in ("l1", "linf"):
-        sp = O.ZdSpace(2, norm)
+        sp = O.ZdSpace(len(x), norm)
         assert sp.distance(x, y) == sp.distance(y, x)
         assert sp.distance(x, x) == 0
         if x != y:
             assert sp.distance(x, y) > 0
         assert sp.distance(x, z) <= sp.distance(x, y) + sp.distance(y, z)
+
+
+def reference_zd_distance(norm, p, q):
+    gaps = [abs(a - b) for a, b in zip(p, q)]
+    return sum(gaps) if norm == "l1" else max(gaps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["l1", "linf"]),
+    st.integers(1, 3).flatmap(lambda dim: zd_points(dim, 2)),
+)
+def test_zd_distance_matches_reference(norm, pair):
+    """Each dimension's code path against max/sum of |a - b|, bare and
+    wrapped in the scaled and discrete adapters."""
+    p, q = pair
+    z = O.ZdSpace(len(p), norm)
+    expected = reference_zd_distance(norm, p, q)
+    assert type(z.distance(p, q)) is int
+    assert z.distance(p, q) == z.distance(q, p) == expected
+    assert O.ScaledSpace(z, Fraction(7, 3)).distance(p, q) == Fraction(7, 3) * expected
+    assert O.DiscreteAdapterSpace(z).distance(p, q) == (0 if p == q else 1)
 
 
 free_words = st.lists(
