@@ -3,9 +3,9 @@
 Subcommands map one-to-one onto library operations; instances are JSON files
 (see README for the schemas), payload goes to stdout, diagnostics to stderr.
 
-Exit codes: 0 success, 2 budget exhausted, 3 invalid input, schema or
-usage, 4 metric/isometry violation detected, 5 differential or certificate
-mismatch.  A subcommand reading --in exits with the code of its payload's
+Exit codes: 0 success, 2 budget exhausted or out of memory (both "unknown":
+the work asked for did not fit), 3 invalid input, schema or usage, 4
+metric/isometry violation detected, 5 differential or certificate mismatch.  A subcommand reading --in exits with the code of its payload's
 "status" (``EXIT_FOR_STATUS``), in JSON and table mode alike.
 """
 
@@ -459,6 +459,9 @@ def main(argv=None):
     except OrbitsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError:
+        print("out of memory: the work asked for does not fit", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -35,7 +35,14 @@ from .separation import (
     separate_points,
     weighted_to_json,
 )
-from .spaces import DiscreteShiftSpace, FiniteGraphSpace, FreeSpace, ZdSpace, base_space
+from .spaces import (
+    DiscreteShiftSpace,
+    FiniteGraphSpace,
+    FreeSpace,
+    ZdSpace,
+    base_space,
+    require_distinct,
+)
 from .words import IDENTITY
 
 _MASK64 = (1 << 64) - 1
@@ -92,13 +99,24 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     Ratios stay exact without a Fraction per image: with eps_p = en/ed,
     d/eps_p is the pair (d.num * ed, d.den * en), pairs are compared by
     cross-multiplying, and (1, 0) stands for INF.
+
+    P, Q and the weights are checked as ``separate_points`` checks them, with
+    the space's own ``check_point``: a point outside the space, a repeated
+    point or a weight that is not a positive rational raises
+    InvalidInputError before the search starts.
     """
     check_int(max_word_length, "max_word_length", 0)
     weighted = list(weighted)
     q_points = list(q_points)
-    for _, eps in weighted:
+    space = action.space
+    for p, eps in weighted:
+        space.check_point(p)
         check_positive(eps, "eps")
-    distance = action.space.distance
+    require_distinct([p for p, _ in weighted], "P")
+    for q in q_points:
+        space.check_point(q)
+    require_distinct(q_points, "Q")
+    distance = space.distance
     # With Q empty every d(image_p, Q) is INF, so every image rates INF.
     eps_parts = [(e.numerator, e.denominator) for _, e in weighted] if q_points else []
 

@@ -192,6 +192,52 @@ words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
     O.reduce_word
 )
 
+# Coordinates, vectors and powers past 2**64, of either sign.
+_wide = st.integers(-(2**70), 2**70) | st.integers(-9, 9)
+
+
+def _lattice_points(dim):
+    return st.tuples(*[_wide] * dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3]), _wide)
+def test_translation_maps_match_coordinatewise_reference(data, dim, k):
+    """Dimensions 1 and 2 have their own code in each map; 3 keeps the
+    generic form.  Each is checked against a per-coordinate loop."""
+    v = data.draw(_lattice_points(dim))
+    p = data.draw(_lattice_points(dim))
+    t = O.Translation(v)
+    expected = {
+        "forward": tuple(p[i] + v[i] for i in range(dim)),
+        "backward": tuple(p[i] - v[i] for i in range(dim)),
+        "power": tuple(p[i] + k * v[i] for i in range(dim)),
+    }
+    got = {"forward": t.forward(p), "backward": t.backward(p), "power": t.power(p, k)}
+    assert got == expected
+    assert all(type(x) is tuple for x in got.values())
+    assert t.backward(t.forward(p)) == p
+    assert t.forward(t.backward(p)) == p
+    assert t.power(t.power(p, k), -k) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3]), st.sampled_from(["l1", "linf"]))
+def test_word_on_translations_matches_letter_by_letter(data, dim, norm):
+    """ℤ^dim with dim generators: apply_word (one power per run) and
+    apply_word_all equal one step per letter along reduced words."""
+    vectors = data.draw(st.lists(_lattice_points(dim), min_size=dim, max_size=dim))
+    act = O.GeneratedAction(O.ZdSpace(dim, norm), [O.Translation(v) for v in vectors])
+    letters = [s for i in range(1, dim + 1) for s in (i, -i)]
+    runs = data.draw(
+        st.lists(st.tuples(st.sampled_from(letters), st.integers(1, 40)), max_size=8)
+    )
+    w = O.reduce_word([s for s, n in runs for _ in range(n)])
+    points = data.draw(st.lists(_lattice_points(dim), min_size=1, max_size=3))
+    expected = [_fold_step(act, w, p) for p in points]
+    assert [act.apply_word(w, p) for p in points] == expected
+    assert act.apply_word_all(w, points) == expected
+
 
 @settings(max_examples=100, deadline=None)
 @given(words_strategy, words_strategy, st.tuples(st.integers(-9, 9), st.integers(-9, 9)))

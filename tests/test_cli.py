@@ -906,6 +906,49 @@ def test_json_nested_980_deep_exits_3_whatever_the_stack(capsys, tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (3, "", message)
 
 
+OUT_OF_MEMORY = "out of memory: the work asked for does not fit\n"
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    def orbit(doc, args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_orbit", orbit)
+    code, out, err = run(capsys, "orbit", "--in", instance_path("orbit_zd2.json"))
+    assert (code, out, err) == (2, "", OUT_OF_MEMORY)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_orbit_past_the_memory_limit_exits_2(tmp_path):
+    """A document's budget has no cap, so an orbit of a million points with
+    their words outgrows a 512 MiB address space; the CLI says so on one
+    line instead of a traceback.  Only the child's own limit is set."""
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+    doc = {
+        "space": {"kind": "zd", "dim": 2, "norm": "l1"},
+        "generators": [
+            {"kind": "translation", "v": [1, 0]},
+            {"kind": "translation", "v": [0, 1]},
+        ],
+        "p": [0, 0],
+        "budget": {"max_word_length": 1000000000, "max_points": 1000000},
+    }
+    infile = tmp_path / "orbit.json"
+    infile.write_text(json.dumps(doc))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "orbitsep.cli", "orbit", "--in", str(infile)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=120,
+    )
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", OUT_OF_MEMORY)
+
+
 def test_discrete_refuses_a_non_discrete_metric_when_checking_too(capsys, tmp_path):
     """``discrete --in`` and ``discrete --check`` share one rule: on an l1
     lattice both exit 3, even with a certificate ``separate`` made."""

@@ -186,6 +186,48 @@ def test_brute_force_rejects_a_bad_eps(z1_action, eps):
         O.brute_force_separate(z1_action, [((0,), eps)], [(0,)], 2)
 
 
+_BAD_ZD2_POINTS = [
+    ((1,), "expected a 2-tuple of ints, got (1,)"),
+    ((1.5, 2), "lattice coordinate must be an int, got 1.5"),
+    ((1, 2, 3), "expected a 2-tuple of ints, got (1, 2, 3)"),
+]
+
+
+def _refusals(action, weighted, q_points):
+    """The messages separate_points and brute_force_separate refuse with."""
+    messages = []
+    for solve in (O.separate_points, lambda *a: O.brute_force_separate(*a, 2)):
+        with pytest.raises(InvalidInputError) as info:
+            solve(action, weighted, q_points)
+        messages.append(str(info.value))
+    return messages
+
+
+@pytest.mark.parametrize("point, message", _BAD_ZD2_POINTS)
+def test_brute_force_refuses_what_the_solver_refuses(zd2_action, point, message):
+    """A short point once raised IndexError, a float coordinate AttributeError,
+    and a 3-tuple on ℤ² was answered; the oracle now refuses each, in P or
+    in Q, with the solver's own message."""
+    one = Fraction(1)
+    cases = [
+        ([(point, one)], [(0, 0)]),
+        ([((5, 5), one)], [(0, 0), point]),
+    ]
+    for weighted, q_points in cases:
+        assert _refusals(zd2_action, weighted, q_points) == [message, message]
+
+
+def test_brute_force_refuses_a_repeated_point(zd2_action):
+    one = Fraction(1)
+    twice_p = [((1, 1), one), ((1, 1), Fraction(2))]
+    twice_q = [(0, 0), (0, 0)]
+    for weighted, q_points, message in [
+        (twice_p, [(0, 0)], "duplicate point (1, 1) in P"),
+        ([((1, 1), one)], twice_q, "duplicate point (0, 0) in Q"),
+    ]:
+        assert _refusals(zd2_action, weighted, q_points) == [message, message]
+
+
 def test_experiment_rejects_a_bool_bound():
     with pytest.raises(InvalidInputError, match="max_word_length"):
         O.ratio_experiment(["zd2"], 1, 9, oracle_bound=True)
