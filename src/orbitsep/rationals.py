@@ -9,6 +9,10 @@ arithmetic.
 
 Code that only compares ratios (``evaluate_word``, the oracle's ``rate``)
 keeps each as an integer pair and compares pairs by cross-multiplying.
+
+``parse_rational`` decodes an integer literal (``"n"`` or ``"-n"``) to an
+``int`` and every other literal to a ``Fraction``; the two compare, hash and
+format alike, so which one a decoded value is changes no output.
 """
 
 import math
@@ -18,7 +22,8 @@ from fractions import Fraction
 from .errors import InvalidInputError
 
 INF = math.inf
-# The one literal grammar; Python's 4300-digit int limit bounds each literal.
+# The one literal grammar (parse_rational reads its integer literals without
+# it); Python's 4300-digit int limit bounds each literal.
 _LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _EXACT = (Fraction, int)
 # A refused literal is echoed up to this many characters, then its length.
@@ -49,7 +54,19 @@ def check_positive(x, what):
 
 def parse_rational(value):
     """Parse ``"p/q"``, ``"n"`` (either with an optional ``-``), ``"inf"``, or
-    an int or Fraction into an exact value."""
+    an int or Fraction into an exact value.
+
+    An integer literal of ASCII digits decodes straight to an ``int``; every
+    other string goes through the literal grammar and decodes to a
+    ``Fraction``.  An int or Fraction argument decodes to a ``Fraction``.
+    """
+    if isinstance(value, str):  # before the other tests: most literals are ints
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isdigit() and digits.isascii():
+            try:
+                return int(value)
+            except ValueError as exc:  # past the int-string digit limit
+                raise _bad_literal(value) from exc
     if value == "inf":
         return INF
     if isinstance(value, bool):

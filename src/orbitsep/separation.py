@@ -192,7 +192,10 @@ def _detect_q0(action, pivot, q_points, radius, budget, stats=None):
 
 
 def _enlarge(action, q_points, q0, a):
-    """Q' = Q plus the (g_y ∘ a^-1)-images of Q, deduplicated in order."""
+    """Q' = Q plus the (g_y ∘ a^-1)-images of Q, deduplicated in order, and
+    the list Q itself, not a copy, when Q0 is empty."""
+    if not q0:
+        return q_points
     seen = dict.fromkeys(q_points)
     a_inv = invert(a)
     for g_y in q0.values():
@@ -444,6 +447,10 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
     reproduced word; raises TraceReplayError on any inconsistency, such as a
     length other than |P|.  When ``audit`` is a list, appends {"restarts",
     "q_size"} per level.
+
+    Only the levels below a level read its Q' and the escapes composed down
+    to it, so the replay builds no Q' and composes no escape after the last
+    level.
     """
     order = _pivot_order(weighted)
     q_points = list(q_points)
@@ -460,24 +467,25 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
             raise TraceReplayError(f"recorded pivot {level.pivot!r} not in point set")
         if level.restarts > len(level.q0):  # each restart records one Q0 member
             raise TraceReplayError(f"{level.restarts} restarts, {len(level.q0)} Q0 members")
-        eps3 = Fraction(eps) / 3
-
         a = level.escape
         if first_within(space, action.apply_word(a, pivot), q_points, eps) is not None:
             raise TraceReplayError("recorded escape word does not escape Q")
+        eps3 = Fraction(eps.numerator, 3 * eps.denominator)  # first_within checked eps
 
-        q_set = set(q_points)
         q0 = {}
-        for y, g_y in level.q0:
-            if y not in q_set:
-                raise TraceReplayError(f"recorded Q0 member {y!r} is not in Q")
-            if space.distance(action.apply_word(g_y, pivot), y) >= eps3:
-                raise TraceReplayError(f"recorded witness for {y!r} is not within eps/3")
-            q0[y] = g_y
+        if level.q0:
+            q_set = set(q_points)
+            for y, g_y in level.q0:
+                if y not in q_set:
+                    raise TraceReplayError(f"recorded Q0 member {y!r} is not in Q")
+                if space.distance(action.apply_word(g_y, pivot), y) >= eps3:
+                    raise TraceReplayError(f"recorded witness for {y!r} is not within eps/3")
+                q0[y] = g_y
 
         steps.append((level, pivot, eps3, q_points, q0))
-        q_points = _enlarge(action, q_points, q0, a)
-        moved_by = compose(a, moved_by)
+        if len(steps) < len(order):  # a level below reads Q' and the escapes
+            q_points = _enlarge(action, q_points, q0, a)
+            moved_by = compose(a, moved_by)
 
     h = IDENTITY
     for level, pivot, eps3, q_points, q0 in reversed(steps):  # ascend: compose h

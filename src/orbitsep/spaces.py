@@ -468,11 +468,13 @@ def greedy_epsilon_net(space, points, eps):
     The result N is a subset of the input in input order, and every input
     point lies strictly within eps of some kept point.  Net size is not
     minimized; determinism is the contract.  An INF eps keeps the first point.
+    Each point is checked with the space's ``check_point``.
     """
     if eps != INF:
         check_positive(eps, "eps")
     net = []
     for p in points:
+        space.check_point(p)
         if first_within(space, p, net, eps) is None:
             net.append(p)
     return net

@@ -12,8 +12,15 @@ IDENTITY = ()
 
 
 def check_word(letters):
-    """The letters as a tuple, as given, once each is checked to be a nonzero int."""
+    """The letters as a tuple, as given, once each is checked to be a nonzero int.
+
+    A word of exact ints passes in one pass over its types; the per-letter
+    loop runs only when some letter is not, to raise or to accept an int
+    subclass that is not a bool.
+    """
     word = tuple(letters)
+    if {*map(type, word)} <= {int} and 0 not in word:
+        return word
     for s in word:
         if check_int(s, "word letter") == 0:
             raise InvalidInputError("word letter must be nonzero, got 0")

@@ -225,6 +225,16 @@ def _inexact(name, call, message):
             for w, shown in ((0.5, "0.5"), (O.INF, "inf"), (True, "True"))
         ),
         _inexact(
+            "replay-weight-float",
+            lambda a, s: O.replay_trace(
+                a,
+                [((0,), 0.5)],
+                [(5,)],
+                O.separate_points(a, [((0,), Fraction(1, 2))], [(5,)]).trace,
+            ),
+            "radius must be a positive rational, got 0.5",
+        ),
+        _inexact(
             "sequence-eps-bool",
             lambda a, s: O.separated_sequence(a, [(0,)], True, 2, stats=s),
             "eps must be a positive rational, got True",
@@ -574,10 +584,19 @@ def _referenced_names(func):
 
 
 @pytest.mark.parametrize(
-    "checker", [O.check_certificate, O.replay_trace, O.evaluate_word], ids=lambda f: f.__name__
+    "checker",
+    [
+        O.check_certificate,
+        O.replay_trace,
+        O.evaluate_word,
+        O.certificate_from_json,
+        O.trace_from_json,
+    ],
+    ids=lambda f: f.__name__,
 )
 def test_checker_shares_no_search_code(checker):
-    """The checker re-derives a certificate without the solver's search."""
+    """The checker, and the decoding the ``--check`` path runs before it,
+    re-derive a certificate without the solver's search."""
     assert not _referenced_names(checker) & {
         "find_escape",
         "orbit_stream",

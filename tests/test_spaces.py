@@ -92,6 +92,19 @@ def test_greedy_net_trivial_cases():
         O.greedy_epsilon_net(z, [(0,)], 0)
 
 
+@pytest.mark.parametrize("points", [[(1, 2, 3), (0, 0)], [(1,), (0, 0)]])
+def test_greedy_net_checks_every_point(points):
+    """A point of the wrong dimension is refused with check_point's message,
+    not kept in the net (too long) or left to the metric's IndexError (too
+    short)."""
+    z2 = O.ZdSpace(2, "linf")
+    with pytest.raises(InvalidInputError) as got:
+        O.greedy_epsilon_net(z2, points, Fraction(1))
+    with pytest.raises(InvalidInputError) as expected:
+        z2.check_point(points[0])
+    assert str(got.value) == str(expected.value)
+
+
 def test_free_word_metric():
     f = O.FreeSpace(2)
     ab = O.word_from_string("ab")
