@@ -248,8 +248,14 @@ def _separate(action, weighted, q_points, budget, stats):
             frames.append((level, q_points, moved_by))
             q_points = _enlarge(action, q_points, q0, a)
 
+        # Ascend, composing h level by level.  At the innermost level h is the
+        # identity, so h ∘ a = a, which find_escape chose to clear that
+        # level's Q by eps > eps/3: the case is direct without a scan.
         h = IDENTITY
-        for i in reversed(range(len(frames))):  # ascend: compose h level by level
+        if frames:
+            level = frames[-1][0]
+            level.case, h = "direct", level.escape
+        for i in reversed(range(len(frames) - 1)):
             level, q_points, moved_by = frames[i]
             a, eps3 = level.escape, Fraction(level.eps) / 3
             ha = compose(h, a)
@@ -450,8 +456,14 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
 
     Only the levels below a level read its Q' and the escapes composed down
     to it, so the replay builds no Q' and composes no escape after the last
-    level.
+    level.  At the last level h is the identity, so the pivot's image is the
+    escape's, already checked to clear Q by eps: its case is ``direct`` with
+    no scan.  Each weight is checked as ``separate_points`` checks it, before
+    the weights are sorted.
     """
+    weighted = list(weighted)
+    for p, eps in weighted:
+        check_positive(eps, f"weight for {p!r}")
     order = _pivot_order(weighted)
     q_points = list(q_points)
     if len(trace) != len(order):
@@ -488,9 +500,12 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
             moved_by = compose(a, moved_by)
 
     h = IDENTITY
-    for level, pivot, eps3, q_points, q0 in reversed(steps):  # ascend: compose h
+    for i in reversed(range(len(steps))):  # ascend: compose h
+        level, pivot, eps3, q_points, q0 = steps[i]
         ha = compose(h, level.escape)
-        y = first_within(space, action.apply_word(ha, pivot), q_points, eps3)
+        y = None  # the innermost ha is the escape, checked above to clear Q by eps
+        if i < len(steps) - 1:
+            y = first_within(space, action.apply_word(ha, pivot), q_points, eps3)
         if y is not None and y not in q0:
             raise TraceReplayError(f"pivot lands near {y!r}, which has no recorded witness")
         case = "direct" if y is None else "fallback"
@@ -513,7 +528,8 @@ def check_certificate(action, weighted, q_points, cert):
     problems = []
     weighted = list(weighted)
     q_points = list(q_points)
-    _check_weighted(action, weighted)
+    # evaluate_word and replay_trace check the weights; these check the points.
+    _check_points(action, [p for p, _ in weighted], "P")
     _check_points(action, q_points)
     achieved, ratio = evaluate_word(action, weighted, q_points, cert.word)
     points = {p for p, _ in weighted}

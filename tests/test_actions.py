@@ -183,9 +183,12 @@ def test_equal_letters_form_one_run_whatever_their_identity():
     gen = act.generators[299]  # all 300 are this one object
     runs = []  # the k of every power call: one per point moved by one run
     gen.power = lambda p, k: runs.append(k) or O.Translation.power(gen, p, k)
+    bulk = []  # the k of every power_all call: one per run over all the points
+    gen.power_all = lambda ps, k: bulk.append(k) or O.Translation.power_all(gen, ps, k)
     assert act.apply_word(w, (0,)) == (3,)
+    assert runs == [3]
     assert act.apply_word_all(w, [(0,), (5,)]) == [(3,), (8,)]
-    assert runs == [3, 3, 3]
+    assert bulk == [3]
 
 
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
@@ -201,24 +204,67 @@ def _lattice_points(dim):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from([1, 2, 3]), _wide)
+@given(st.data(), st.sampled_from([1, 2, 3]), st.sampled_from([1, -1]) | _wide)
 def test_translation_maps_match_coordinatewise_reference(data, dim, k):
     """Dimensions 1 and 2 have their own code in each map; 3 keeps the
-    generic form.  Each is checked against a per-coordinate loop."""
+    generic form.  Each is checked against a per-coordinate loop, and
+    ``power_all`` against ``power`` point by point, on a list and on an
+    iterator of points."""
     v = data.draw(_lattice_points(dim))
     p = data.draw(_lattice_points(dim))
+    points = data.draw(st.lists(_lattice_points(dim), max_size=4))
     t = O.Translation(v)
     expected = {
         "forward": tuple(p[i] + v[i] for i in range(dim)),
         "backward": tuple(p[i] - v[i] for i in range(dim)),
         "power": tuple(p[i] + k * v[i] for i in range(dim)),
+        "power_all": [tuple(q[i] + k * v[i] for i in range(dim)) for q in points],
     }
-    got = {"forward": t.forward(p), "backward": t.backward(p), "power": t.power(p, k)}
+    got = {
+        "forward": t.forward(p),
+        "backward": t.backward(p),
+        "power": t.power(p, k),
+        "power_all": t.power_all(points, k),
+    }
     assert got == expected
-    assert all(type(x) is tuple for x in got.values())
+    moved = got.pop("power_all")
+    assert all(type(x) is tuple for x in [*got.values(), *moved])
+    assert type(moved) is list and moved is not points
+    assert moved == [t.power(q, k) for q in points]
+    assert t.power_all(iter(points), k) == moved
+    assert t.power_all(points, 1) == [t.forward(q) for q in points]
+    assert t.power_all(points, -1) == [t.backward(q) for q in points]
+    assert t.power_all(moved, -k) == points
     assert t.backward(t.forward(p)) == p
     assert t.forward(t.backward(p)) == p
     assert t.power(t.power(p, k), -k) == p
+
+
+@pytest.mark.parametrize(
+    "v, points",
+    [
+        ((5,), [(1, 2), (3, 4, 5)]),  # dimension 1 reads only p[0]
+        ((5, -2), [(1, 2, 3)]),  # dimension 2 reads only p[0] and p[1]
+        ((5, -2), [(1, 2), (1,)]),
+        ((5, -2, 7), [(1, 2), (1, 2, 3, 4)]),  # zip stops at the shorter
+        ((5,), [(1,), ()]),
+        ((5,), [(1,), ("x",)]),
+        ((5, -2, 7), [(1, 2, "x")]),
+    ],
+)
+@pytest.mark.parametrize("k", [1, -1, 3])
+def test_power_all_indexes_points_as_power_does(v, points, k):
+    """A point of the wrong length or with a non-int coordinate fares in
+    ``power_all`` exactly as in ``power``: the same result or the same
+    exception type."""
+    t = O.Translation(v)
+    try:
+        expected = [t.power(p, k) for p in points]
+    except (IndexError, TypeError) as exc:
+        with pytest.raises(type(exc)):
+            t.power_all(points, k)
+    else:
+        assert t.power_all(points, k) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,6 +577,17 @@ GATED_ACTIONS = {
         [(0,), (1,), (3,)],
     ),
 }
+
+
+def test_apply_word_all_keeps_a_translation_subclass_maps():
+    """``power_all`` serves only an exact ``Translation``: a subclass's letters
+    move each point by its own ``forward`` and ``backward``."""
+    space, gens, points = GATED_ACTIONS["reflection"]
+    action = O.GeneratedAction(space, gens)
+    for w in [(2,), (-2,), (2, 1), (1, 1, 2, -1, -1), (-2, 1, 1, 1, 2, -1, 2), ()]:
+        expected = [_fold_step(action, w, p) for p in points]
+        assert [action.apply_word(w, p) for p in points] == expected
+        assert action.apply_word_all(w, points) == expected
 
 
 @pytest.mark.parametrize("kind", sorted(GATED_ACTIONS))

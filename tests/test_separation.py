@@ -232,7 +232,33 @@ def _inexact(name, call, message):
                 [(5,)],
                 O.separate_points(a, [((0,), Fraction(1, 2))], [(5,)]).trace,
             ),
-            "radius must be a positive rational, got 0.5",
+            "weight for (0,) must be a positive rational, got 0.5",
+        ),
+        *(
+            _inexact(
+                f"replay-weight-{shown}",
+                lambda a, s, w=w: O.replay_trace(
+                    a,
+                    [((0,), w), ((50,), Fraction(3))],
+                    Z_FALLBACK["Q"],
+                    O.separate_points(a, Z_FALLBACK["P"], Z_FALLBACK["Q"], SMALL_BUDGET).trace,
+                ),
+                f"weight for (0,) must be a positive rational, got {shown}",
+            )
+            for w, shown in (("3", "'3'"), (0, "0"), (-3, "-3"))
+        ),
+        *(
+            _inexact(
+                f"check-weight-{shown}",
+                lambda a, s, w=w: O.check_certificate(
+                    a,
+                    [((0,), w)],
+                    [(5,)],
+                    O.separate_points(a, [((0,), Fraction(1, 2))], [(5,)]),
+                ),
+                f"weight must be a positive rational, got {shown}",
+            )
+            for w, shown in ((0.5, "0.5"), ("3", "'3'"), (0, "0"))
         ),
         _inexact(
             "sequence-eps-bool",
@@ -372,6 +398,72 @@ def test_checker_rejects_tampered_fallback_trace(z1_action, edit):
     edit(cert.trace)
     problems = O.check_certificate(z1_action, P, Q, cert)
     assert len(problems) == 1 and problems[0].startswith("trace replay failed: ")
+
+
+def _fallback_at_last_level(trace):
+    """Record the last level as a fallback at (0,), with a true witness."""
+    level = trace[-1]
+    (x,) = level.pivot
+    level.q0.append(((0,), (-1,) * x if x > 0 else (1,) * -x))
+    level.case, level.fallback_y = "fallback", (0,)
+
+
+def test_checker_rejects_a_last_level_recorded_as_fallback(z1_action):
+    """The replay scans no Q' at the last level, where the escape itself
+    clears Q, but still compares the recorded case with ``direct``."""
+    P, Q = Z_FALLBACK["P"], Z_FALLBACK["Q"]
+    cert = O.separate_points(z1_action, P, Q, SMALL_BUDGET)
+    _fallback_at_last_level(cert.trace)
+    message = "recorded case 'fallback' at (0,), recomputed 'direct' at None"
+    with pytest.raises(TraceReplayError) as info:
+        O.replay_trace(z1_action, P, Q, cert.trace)
+    assert str(info.value) == message
+    problems = O.check_certificate(z1_action, P, Q, cert)
+    assert problems == [f"trace replay failed: {message}"]
+
+
+@pytest.mark.parametrize(
+    "P, Q, solver_scans",
+    [
+        ([((3,), Fraction(2))], [(0,), (3,), (4,)], 0),
+        (Z_FALLBACK["P"], Z_FALLBACK["Q"], 1),
+        (Z_RESTART["P"], Z_RESTART["Q"], 4),  # two ascents over three levels
+    ],
+    ids=["one-level", "fallback", "restart"],
+)
+def test_innermost_ascent_makes_no_distance_call(z1_action, monkeypatch, P, Q, solver_scans):
+    """At the innermost level h is the identity, so the pivot's image is the
+    escape's, which cleared that level's Q by eps > eps/3: neither the
+    solver's ascent nor the replay's scans Q' there.  Every other ascent
+    level scans once, after the replay has checked each level's escape at
+    eps."""
+    scans = []  # the radius of every first_within call made by separation
+    distance_calls = 0
+    distance = O.ZdSpace.distance
+
+    def counted_distance(self, x, y):
+        nonlocal distance_calls
+        distance_calls += 1
+        return distance(self, x, y)
+
+    def recorded(space, x, points, r):
+        scans.append(r)
+        return O.first_within(space, x, points, r)
+
+    monkeypatch.setattr(sep, "first_within", recorded)
+    cert = O.separate_points(z1_action, P, Q, SMALL_BUDGET)
+    levels = list(cert.trace)
+    assert len(scans) == solver_scans
+    assert set(scans) <= {Fraction(level.eps) / 3 for level in levels[:-1]}
+
+    scans.clear()
+    monkeypatch.setattr(O.ZdSpace, "distance", counted_distance)
+    assert O.replay_trace(z1_action, P, Q, cert.trace) == cert.word
+    assert scans == [level.eps for level in levels] + [
+        Fraction(level.eps) / 3 for level in reversed(levels[:-1])
+    ]
+    if len(levels) == 1:  # only the escape check, which scans all of Q
+        assert distance_calls == len(Q)
 
 
 @pytest.mark.parametrize(
