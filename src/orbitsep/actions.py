@@ -367,7 +367,9 @@ class GeneratedAction:
     def apply_word_all(self, w, points):
         """A new list of the points, each moved by the word: the word is
         split into runs and its letters checked once for the whole list."""
-        return list(self._map_word(w, points))
+        moved = self._map_word(w, points)
+        # A list other than the points themselves is power_all's new list.
+        return moved if type(moved) is list and moved is not points else list(moved)
 
     def generators_to_json(self):
         return [g.to_json() for g in self.generators]

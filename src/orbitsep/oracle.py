@@ -11,10 +11,8 @@ Instance generation is driven by SplitMix64, a fixed 64-bit mixing
 recurrence, so any instance is reproducible from its integer seed alone.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional
 
 from .actions import (
@@ -41,6 +39,7 @@ from .spaces import (
     FreeSpace,
     ZdSpace,
     base_space,
+    distance_to_set,
     require_distinct,
 )
 from .words import IDENTITY
@@ -91,10 +90,17 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     """Enumerate every image of P under words up to the bound; rate them all.
 
     BFS over image tuples with the same signed-generator order as the orbit
-    search; each image carries the first word reaching it.  A tuple is valid
-    when min over p of d(image_p, Q) / eps_p is at least 1/3 (vacuously INF
-    when P or Q is empty).  Returns all valid representatives, the best one,
-    and the number of distinct images explored.
+    search, one word length at a time; each image carries the first word
+    reaching it.  A tuple is valid when min over p of d(image_p, Q) / eps_p
+    is at least 1/3 (vacuously INF when P or Q is empty), with each
+    d(image_p, Q) from ``distance_to_set``.  Returns all valid
+    representatives, the best one, and the number of distinct images
+    explored.
+
+    The letter that undoes a word's last letter is never tried: its image is
+    the parent's, already seen.  This assumes each generator's backward map
+    inverts its forward map, as every built-in generator's does and as
+    ``verify_isometry``'s inverse check tests.
 
     Ratios stay exact without a Fraction per image: with eps_p = en/ed,
     d/eps_p is the pair (d.num * ed, d.den * en), pairs are compared by
@@ -116,14 +122,13 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     for q in q_points:
         space.check_point(q)
     require_distinct(q_points, "Q")
-    distance = space.distance
     # With Q empty every d(image_p, Q) is INF, so every image rates INF.
     eps_parts = [(e.numerator, e.denominator) for _, e in weighted] if q_points else []
 
     def rate(image):
         num, den = 1, 0
         for p, (en, ed) in zip(image, eps_parts):
-            d = min(map(distance, repeat(p), q_points))
+            d = distance_to_set(space, p, q_points)
             n, m = d.numerator * ed, d.denominator * en
             if n * den < num * m:
                 num, den = n, m
@@ -131,30 +136,35 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
 
     start = tuple(p for p, _ in weighted)
     seen = {start}
-    queue = deque([(start, IDENTITY)])
     valid_images = {}
     best_word = IDENTITY
     best_num, best_den = rate(start)
     if 3 * best_num >= best_den:
         valid_images[start] = IDENTITY
     moves = action.moves()
-    while queue:
-        node, w = queue.popleft()
-        if len(w) >= max_word_length:
-            continue
-        for s, move in moves:
-            nxt = tuple(map(move, node))
-            if nxt in seen:
-                continue
-            nw = (s,) + w
-            seen.add(nxt)
-            queue.append((nxt, nw))
-            num, den = rate(nxt)
-            if 3 * num >= den:
-                valid_images[nxt] = nw
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-                best_word = nw
+    # The letter undoing a word's last letter leads back to its parent.
+    onward = {s: [m for m in moves if m[0] != -s] for s, _ in moves}
+    onward[0] = moves  # the identity has no last letter to undo
+    layer = [(start, IDENTITY, 0)]  # (image, word, the word's last letter)
+    for _ in range(max_word_length):
+        if not layer:  # the orbit of the tuple closed
+            break
+        below = []
+        for node, w, last in layer:
+            for s, move in onward[last]:
+                nxt = tuple(map(move, node))
+                if nxt in seen:
+                    continue
+                nw = (s,) + w
+                seen.add(nxt)
+                below.append((nxt, nw, s))
+                num, den = rate(nxt)
+                if 3 * num >= den:
+                    valid_images[nxt] = nw
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+                    best_word = nw
+        layer = below
     if stats is not None:
         stats.points += len(seen)
     return OracleVerdict(

@@ -282,7 +282,24 @@ def _separate(action, weighted, q_points, budget, stats):
 
 def evaluate_word(action, weighted, q_points, word):
     """Per-point distances d(word.p, Q) and the worst achieved/eps ratio (INF
-    when P or Q is empty), compared as cross-multiplied integer pairs."""
+    when P or Q is empty), compared as cross-multiplied integer pairs.
+
+    Every point of P and Q is checked with the space's ``check_point`` and
+    every weight as a positive rational; InvalidInputError names the first
+    that fails."""
+    weighted = list(weighted)
+    q_points = list(q_points)
+    check_point = action.space.check_point
+    for p, _ in weighted:
+        check_point(p)
+    for q in q_points:
+        check_point(q)
+    return _evaluate_word(action, weighted, q_points, word)
+
+
+def _evaluate_word(action, weighted, q_points, word):
+    """``evaluate_word`` on points already checked; the weights are checked
+    here."""
     space = action.space
     achieved = []
     num, den = 1, 0  # INF
@@ -312,7 +329,7 @@ def separate_points(action, weighted, q_points, budget=DEFAULT_BUDGET, stats=Non
     _check_weighted(action, weighted)
     _check_points(action, q_points)
     word, trace = _separate(action, weighted, q_points, budget, stats)
-    achieved, ratio = evaluate_word(action, weighted, q_points, word)
+    achieved, ratio = _evaluate_word(action, weighted, q_points, word)
     if not is_inf(ratio) and 3 * ratio < 1:
         raise NotIsometricError("separation postcondition failed")
     return SeparationCertificate(word, achieved, ratio, trace)
@@ -528,10 +545,10 @@ def check_certificate(action, weighted, q_points, cert):
     problems = []
     weighted = list(weighted)
     q_points = list(q_points)
-    # evaluate_word and replay_trace check the weights; these check the points.
-    _check_points(action, [p for p, _ in weighted], "P")
-    _check_points(action, q_points)
+    # evaluate_word checks the points and weights; these check distinctness.
     achieved, ratio = evaluate_word(action, weighted, q_points, cert.word)
+    require_distinct([p for p, _ in weighted], "P")
+    require_distinct(q_points, "Q")
     points = {p for p, _ in weighted}
     stored = {}
     for p, d in cert.achieved:  # the first entry per point of P counts

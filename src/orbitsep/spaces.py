@@ -458,7 +458,41 @@ def first_within(space, x, points, r):
 
 
 def distance_to_set(space, x, points):
-    """min d(x, y) over y in ``points``; INF when ``points`` is empty."""
+    """min d(x, y) over y in ``points``; INF when ``points`` is empty.
+
+    On an exact ``ZdSpace`` of dimension 1 or 2 the minimum is taken in one
+    loop over the coordinates, with ``ZdSpace.distance``'s arithmetic inline
+    for each y, so no method is called per pair.  The points are indexed
+    unchecked, so callers check them first.  A subclass, which may override
+    ``distance``, and every other space use ``space.distance``.
+    """
+    if type(space) is ZdSpace and space.dim <= 2:
+        best = INF
+        if space.dim == 1:
+            x0 = x[0]
+            for y in points:
+                a = x0 - y[0]
+                if a < 0:
+                    a = -a
+                if a < best:
+                    best = a
+            return best
+        x0, x1 = x[0], x[1]
+        l1 = space.norm == "l1"
+        for y in points:
+            a = x0 - y[0]
+            if a < 0:
+                a = -a
+            b = x1 - y[1]
+            if b < 0:
+                b = -b
+            if l1:
+                a += b
+            elif b > a:
+                a = b
+            if a < best:
+                best = a
+        return best
     return min(map(space.distance, repeat(x), points), default=INF)
 
 

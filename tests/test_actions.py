@@ -149,6 +149,25 @@ def test_apply_word_all_returns_a_new_list(z1_action):
         assert moved == points and moved is not points
     assert z1_action.apply_word_all((1,), iter(points)) == [(1,), (5,)]
     assert z1_action.apply_word_all((1,), []) == []
+    assert z1_action.apply_word_all((), iter(points)) == points
+
+
+def test_apply_word_all_keeps_the_list_power_all_built(z1_action, monkeypatch):
+    """When the word's last run is an exact Translation's, the new list that
+    ``power_all`` built is returned as it is, not copied once more."""
+    built = []
+    power_all = O.Translation.power_all
+
+    def recorded(self, points, k):
+        built.append(power_all(self, points, k))
+        return built[-1]
+
+    monkeypatch.setattr(O.Translation, "power_all", recorded)
+    points = [(0,), (4,)]
+    for w in [(1,), (-1, -1), (1, 1, 1)]:
+        moved = z1_action.apply_word_all(w, points)
+        assert moved is built[-1]
+        assert moved == [z1_action.apply_word(w, p) for p in points]
 
 
 @pytest.mark.parametrize("letter", [0, 3, -3, "x", None, 1.5, [1]])

@@ -111,6 +111,8 @@ DIHEDRAL6 = O.GeneratedAction(
 EXACT_ACTIONS = {
     "zd2-l1": _zd2("l1", (2, -1), (1, 3)),
     "zd2-linf": _zd2("linf", (2, -1), (1, 3)),
+    "zd1-l1": O.GeneratedAction(O.ZdSpace(1, "l1"), [O.Translation((2,)), O.Translation((-3,))]),
+    "zd1-linf": _z1_line(O.ZdSpace(1, "linf"), 1),
     "free2": O.GeneratedAction(
         O.FreeSpace(2), [O.LeftMultiplication((1,)), O.LeftMultiplication((2,))]
     ),
@@ -164,6 +166,38 @@ def test_brute_force_matches_fraction_reference(kind):
     _assert_same_verdict(action, [], q_points, bound)
     _assert_same_verdict(action, weighted, [], bound)
     _assert_same_verdict(action, weighted, q_points, 0)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ACTIONS))
+def test_brute_force_words_are_reduced(kind):
+    """No oracle word holds a letter next to its inverse."""
+    rng = random.Random("reduced " + kind)
+    action = EXACT_ACTIONS[kind]
+    for _ in range(4):
+        weighted, q_points = _sample_sets(action, rng, rng.randint(1, 3), rng.randint(1, 4))
+        verdict = O.brute_force_separate(action, weighted, q_points, 4)
+        for word in verdict.valid_words + [verdict.best_word]:
+            assert O.reduce_word(word) == word
+
+
+def test_brute_force_never_tries_the_undo_letter(z1_action, monkeypatch):
+    """On a line the identity tries both letters and every other image only
+    the one that does not lead back: 2 + 14 moves for the 17 images of
+    [-8, 8], where trying both letters everywhere made 30."""
+    calls = 0
+
+    def counted(move):
+        def call(p):
+            nonlocal calls
+            calls += 1
+            return move(p)
+
+        return call
+
+    moves = z1_action.moves()
+    monkeypatch.setattr(z1_action, "moves", lambda: [(s, counted(m)) for s, m in moves])
+    verdict = O.brute_force_separate(z1_action, [((0,), Fraction(6))], [(0,), (10,)], 8)
+    assert (verdict.explored, calls) == (17, 16)
 
 
 def test_brute_force_ratio_exactly_a_third_is_valid(z1_action):

@@ -608,6 +608,22 @@ def test_evaluate_word_builds_one_fraction(z1_action, monkeypatch):
     assert ratio == min(Fraction(d) / eps for (_, d), (_, eps) in zip(achieved, P))
 
 
+@pytest.mark.parametrize(
+    "P, Q",
+    [
+        ([((1, 2, 3), 1)], [(0, 0)]),
+        ([((1,), 1)], [(0, 0)]),
+        ([((0, 0), 1)], [(1, 2, 3)]),
+    ],
+    ids=["p-3-tuple", "p-1-tuple", "q-3-tuple"],
+)
+def test_evaluate_word_checks_its_points(zd2_action, P, Q):
+    """A point of the wrong length is refused, not indexed as a lattice
+    point (a 3-tuple read as distance 2, a 1-tuple an IndexError)."""
+    with pytest.raises(InvalidInputError, match="expected a 2-tuple of ints"):
+        O.evaluate_word(zd2_action, P, Q, ())
+
+
 def test_certificate_json_roundtrip(z1_action):
     P = Z_FALLBACK["P"]
     Q = Z_FALLBACK["Q"]
@@ -683,6 +699,7 @@ def _referenced_names(func):
         O.evaluate_word,
         O.certificate_from_json,
         O.trace_from_json,
+        O.brute_force_separate,
     ],
     ids=lambda f: f.__name__,
 )

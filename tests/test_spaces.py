@@ -74,6 +74,52 @@ def test_set_distance():
     assert O.distance_to_set(adapter, (0,), [(5,), (6,)]) == 1
 
 
+class _DoubledZd(O.ZdSpace):
+    """A lattice subclass whose own ``distance`` is twice the norm."""
+
+    def distance(self, p, q):
+        return 2 * super().distance(p, q)
+
+
+def _set_distance_space(kind, dim, norm):
+    lattice = O.ZdSpace(dim, norm)
+    return {
+        "zd": lattice,
+        "subclass": _DoubledZd(dim, norm),
+        "scaled": O.ScaledSpace(lattice, Fraction(3, 2)),
+        "discrete": O.DiscreteAdapterSpace(lattice),
+        "free": O.FreeSpace(2),
+    }[kind]
+
+
+_COORDS = st.integers(-10, 10) | st.integers(-(2**70), 2**70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["zd", "subclass", "scaled", "discrete", "free"]),
+    dim=st.sampled_from([1, 2, 3]),
+    norm=st.sampled_from(["l1", "linf"]),
+    data=st.data(),
+)
+def test_distance_to_set_matches_pairwise_minimum(kind, dim, norm, data):
+    """The lattice kernel and the ``map`` form both equal the minimum of the
+    space's own pairwise distances, a subclass's override included; an empty
+    set is INF."""
+    space = _set_distance_space(kind, dim, norm)
+    if kind == "free":
+        letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6)
+        points = letters.map(O.reduce_word)
+    else:
+        points = st.tuples(*[_COORDS] * dim)
+    x = data.draw(points)
+    q_points = data.draw(st.lists(points, max_size=6))
+    want = min((space.distance(x, y) for y in q_points), default=O.INF)
+    got = O.distance_to_set(space, x, q_points)
+    assert got == want and type(got) is type(want)
+    assert O.distance_to_set(space, x, iter(q_points)) == want
+
+
 def test_greedy_net_example():
     z = O.ZdSpace(1, "l1")
     points = [(0,), (1,), (2,), (10,)]
