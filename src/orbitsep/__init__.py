@@ -67,9 +67,9 @@ from .spaces import (
     FreeSpace,
     ScaledSpace,
     ZdSpace,
-    distance_to_set,
     first_within,
     greedy_epsilon_net,
+    set_distance,
     space_from_json,
     validate_metric,
     word_from_string,

@@ -39,8 +39,8 @@ from .spaces import (
     FreeSpace,
     ZdSpace,
     base_space,
-    distance_to_set,
     require_distinct,
+    set_distance,
 )
 from .words import IDENTITY
 
@@ -93,7 +93,7 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     search, one word length at a time; each image carries the first word
     reaching it.  A tuple is valid when min over p of d(image_p, Q) / eps_p
     is at least 1/3 (vacuously INF when P or Q is empty), with each
-    d(image_p, Q) from ``distance_to_set``.  Returns all valid
+    d(image_p, Q) from one ``set_distance`` bound to Q.  Returns all valid
     representatives, the best one, and the number of distinct images
     explored.
 
@@ -124,11 +124,12 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     require_distinct(q_points, "Q")
     # With Q empty every d(image_p, Q) is INF, so every image rates INF.
     eps_parts = [(e.numerator, e.denominator) for _, e in weighted] if q_points else []
+    distance_to_q = set_distance(space, q_points)
 
     def rate(image):
         num, den = 1, 0
         for p, (en, ed) in zip(image, eps_parts):
-            d = distance_to_set(space, p, q_points)
+            d = distance_to_q(p)
             n, m = d.numerator * ed, d.denominator * en
             if n * den < num * m:
                 num, den = n, m

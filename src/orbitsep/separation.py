@@ -38,11 +38,11 @@ from .rationals import (
     INF, check_int, check_positive, format_rational, is_inf, parse_rational
 )
 from .spaces import (
-    distance_to_set,
     first_within,
     greedy_epsilon_net,
     is_discrete,
     require_distinct,
+    set_distance,
 )
 from .words import IDENTITY, check_word, compose, invert
 
@@ -300,12 +300,12 @@ def evaluate_word(action, weighted, q_points, word):
 def _evaluate_word(action, weighted, q_points, word):
     """``evaluate_word`` on points already checked; the weights are checked
     here."""
-    space = action.space
+    distance_to_q = set_distance(action.space, q_points)
     achieved = []
     num, den = 1, 0  # INF
     for p, eps in weighted:
         check_positive(eps, "weight")
-        d = distance_to_set(space, action.apply_word(word, p), q_points)
+        d = distance_to_q(action.apply_word(word, p))
         achieved.append((p, d))
         if q_points:
             n, m = d.numerator * eps.denominator, d.denominator * eps.numerator

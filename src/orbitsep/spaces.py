@@ -14,7 +14,7 @@ Built-in spaces:
 * ``discrete`` — any inner space re-equipped with the 0/1 discrete metric.
 
 Distances are ints or Fractions, never floats; the only non-finite value is
-the ``INF`` sentinel returned by ``distance_to_set`` on an empty set.  Every
+the ``INF`` sentinel ``set_distance`` gives for an empty set.  Every
 operation here is a pure function of its arguments, and a space's only
 mutable state is a graph's cache of distance rows, whose entries never
 change once computed, so spaces are safe to share between threads.
@@ -457,18 +457,26 @@ def first_within(space, x, points, r):
     return None
 
 
-def distance_to_set(space, x, points):
-    """min d(x, y) over y in ``points``; INF when ``points`` is empty.
+def set_distance(space, points):
+    """The function x -> min d(x, y) over y in ``points``, INF when
+    ``points`` is empty.  The points are read once, here, so an iterator
+    serves any number of queries.
 
-    On an exact ``ZdSpace`` of dimension 1 or 2 the minimum is taken in one
-    loop over the coordinates, with ``ZdSpace.distance``'s arithmetic inline
-    for each y, so no method is called per pair.  The points are indexed
-    unchecked, so callers check them first.  A subclass, which may override
-    ``distance``, and every other space use ``space.distance``.
+    The kernel is chosen once per set.  On an exact ``ZdSpace`` of dimension
+    1 or 2 each query takes the minimum in one loop over the coordinates,
+    with ``ZdSpace.distance``'s arithmetic inline for each y, so no method is
+    called per pair.  The points are indexed unchecked, so callers check
+    them first.  A subclass, which may override ``distance``, and every
+    other space use ``space.distance``.
     """
-    if type(space) is ZdSpace and space.dim <= 2:
-        best = INF
-        if space.dim == 1:
+    points = list(points)
+    if type(space) is not ZdSpace or space.dim > 2:
+        distance = space.distance
+        return lambda x: min(map(distance, repeat(x), points), default=INF)
+    if space.dim == 1:
+
+        def nearest(x):
+            best = INF
             x0 = x[0]
             for y in points:
                 a = x0 - y[0]
@@ -477,8 +485,13 @@ def distance_to_set(space, x, points):
                 if a < best:
                     best = a
             return best
+
+        return nearest
+    l1 = space.norm == "l1"
+
+    def nearest(x):
+        best = INF
         x0, x1 = x[0], x[1]
-        l1 = space.norm == "l1"
         for y in points:
             a = x0 - y[0]
             if a < 0:
@@ -493,7 +506,8 @@ def distance_to_set(space, x, points):
             if a < best:
                 best = a
         return best
-    return min(map(space.distance, repeat(x), points), default=INF)
+
+    return nearest
 
 
 def greedy_epsilon_net(space, points, eps):

@@ -210,6 +210,26 @@ def test_equal_letters_form_one_run_whatever_their_identity():
     assert bulk == [3]
 
 
+def test_moves_keep_the_maps_of_other_generators():
+    """Only an exact ``Translation`` of dimension 1 or 2 moves by functions
+    of its own; a subclass, a wider translation and every other generator
+    move by their bound ``forward`` and ``backward``."""
+    sub = _Reflection((1,))
+    wide = O.Translation((1, 0, -2))
+    shift = O.Shift()
+    for space, gen in [
+        (O.ZdSpace(1, "l1"), sub),
+        (O.ZdSpace(3, "linf"), wide),
+        (O.DiscreteShiftSpace(), shift),
+    ]:
+        moves = O.GeneratedAction(space, [gen]).moves()
+        assert moves == [(1, gen.forward), (-1, gen.backward)]
+    t = O.Translation((1,))
+    (_, ahead), (_, back) = O.GeneratedAction(O.ZdSpace(1, "l1"), [sub, t]).moves()[2:]
+    assert (ahead((3,)), back((3,))) == ((4,), (2,))
+    assert ahead != t.forward and back != t.backward
+
+
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
     O.reduce_word
 )
@@ -225,29 +245,38 @@ def _lattice_points(dim):
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from([1, 2, 3]), st.sampled_from([1, -1]) | _wide)
 def test_translation_maps_match_coordinatewise_reference(data, dim, k):
-    """Dimensions 1 and 2 have their own code in each map; 3 keeps the
-    generic form.  Each is checked against a per-coordinate loop, and
-    ``power_all`` against ``power`` point by point, on a list and on an
-    iterator of points."""
+    """Dimensions 1 and 2 have their own code in each map, and their own
+    functions among an action's ``moves``; 3 keeps the generic form.  Each
+    is checked against a per-coordinate loop, and ``power_all`` against
+    ``power`` point by point, on a list and on an iterator of points."""
     v = data.draw(_lattice_points(dim))
     p = data.draw(_lattice_points(dim))
     points = data.draw(st.lists(_lattice_points(dim), max_size=4))
     t = O.Translation(v)
+    forward = tuple(p[i] + v[i] for i in range(dim))
+    backward = tuple(p[i] - v[i] for i in range(dim))
     expected = {
-        "forward": tuple(p[i] + v[i] for i in range(dim)),
-        "backward": tuple(p[i] - v[i] for i in range(dim)),
+        "forward": forward,
+        "backward": backward,
         "power": tuple(p[i] + k * v[i] for i in range(dim)),
         "power_all": [tuple(q[i] + k * v[i] for i in range(dim)) for q in points],
+        "moves": [(1, forward), (-1, backward)],
     }
+    moves = O.GeneratedAction(O.ZdSpace(dim, "l1"), [t]).moves()
     got = {
         "forward": t.forward(p),
         "backward": t.backward(p),
         "power": t.power(p, k),
         "power_all": t.power_all(points, k),
+        "moves": [(s, move(p)) for s, move in moves],
     }
     assert got == expected
+    stepped = [x for _, x in got.pop("moves")]
     moved = got.pop("power_all")
-    assert all(type(x) is tuple for x in [*got.values(), *moved])
+    assert all(type(x) is tuple for x in [*got.values(), *moved, *stepped])
+    (_, ahead), (_, back) = moves
+    assert back(ahead(p)) == p == ahead(back(p))
+    assert vars(t) == {"v": v}  # no map is kept on the generator
     assert type(moved) is list and moved is not points
     assert moved == [t.power(q, k) for q in points]
     assert t.power_all(iter(points), k) == moved
@@ -351,18 +380,19 @@ def test_orbit_stream_properties(zd2_action):
 
 def _reference_orbit(action, p, budget):
     """The orbit stream by a plain BFS over (point, word) pairs: every signed
-    generator is tried from every point, and each new point gets its
-    parent's word with one letter put in front."""
+    generator is tried from every point with ``step``, not with the walk's
+    ``moves``, and each new point gets its parent's word with one letter put
+    in front."""
     seen = {p}
     stream = [(p, ())]
     queue = deque(stream)
-    moves = action.moves()
+    letters = [s for i in range(1, len(action.generators) + 1) for s in (i, -i)]
     while queue:
         x, w = queue.popleft()
         if len(w) >= budget.max_word_length:
             continue
-        for s, move in moves:
-            y = move(x)
+        for s in letters:
+            y = action.step(s, x)
             if y in seen:
                 continue
             if len(stream) >= budget.max_points:
@@ -688,15 +718,19 @@ def test_interrupted_skeleton_is_forgotten(monkeypatch):
     A._skeletons.clear()
     action = _fresh("zd2-l1")
     budget = O.OrbitBudget(500, 24)
-    forward, calls = O.Translation.forward, []
+    moves, calls = action.moves(), []
 
-    def failing(gen, p):
-        calls.append(p)
-        if len(calls) > 200:
-            raise _Interrupt
-        return forward(gen, p)
+    def failing(move):
+        def call(p):
+            calls.append(p)
+            if len(calls) > 200:
+                raise _Interrupt
+            return move(p)
 
-    monkeypatch.setattr(O.Translation, "forward", failing)
+        return call
+
+    failing_moves = [(s, failing(m) if s > 0 else m) for s, m in moves]
+    monkeypatch.setattr(action, "moves", lambda: failing_moves)
     holder = _Recorded(action, (5, 5), budget)
     holder.step()
     with pytest.raises(_Interrupt):
@@ -777,10 +811,9 @@ def test_walk_builds_no_skipped_point(monkeypatch):
     action = _fresh("zd2-l1")
     budget = O.OrbitBudget(3000, 12)
     _Recorded(action, (0, 0), budget).run()  # grows the skeleton
-    moved = []
-    forward, backward = O.Translation.forward, O.Translation.backward
-    monkeypatch.setattr(O.Translation, "forward", lambda g, p: moved.append(p) or forward(g, p))
-    monkeypatch.setattr(O.Translation, "backward", lambda g, p: moved.append(p) or backward(g, p))
+    moved, moves = [], action.moves()
+    counted = lambda move: lambda p: moved.append(p) or move(p)
+    monkeypatch.setattr(action, "moves", lambda: [(s, counted(m)) for s, m in moves])
     skips = lambda w: len(w) == 3 and w[-1] != 1
     walk, got = _walk_with_skips(action, (5, -2), budget, skips)
     assert len(moved) == len(got) - 1

@@ -53,8 +53,8 @@ def test_point_space_mismatch_rejected():
 def test_set_distance():
     z = O.ZdSpace(1, "l1")
     # the two one-point primitives behind every ball and set-distance query
-    assert O.distance_to_set(z, (0,), [(5,), (-3,), (4,)]) == 3
-    assert O.distance_to_set(z, (0,), []) == O.INF
+    assert O.set_distance(z, [(5,), (-3,), (4,)])((0,)) == 3
+    assert O.set_distance(z, [])((0,)) == O.INF
     assert O.first_within(z, (0,), [], 5) is None
     assert O.first_within(z, (0,), [(2,)], 2) is None  # d == r is outside
     assert O.first_within(z, (0,), [(2,)], Fraction(5, 2)) == (2,)
@@ -67,11 +67,11 @@ def test_set_distance():
     assert O.first_within(scaled, (0,), [(2,)], 3) is None
     assert O.first_within(scaled, (0,), [(2,)], Fraction(7, 2)) == (2,)
     assert O.first_within(scaled, (0,), [(3,), (2,)], Fraction(10, 3)) == (2,)
-    assert O.distance_to_set(scaled, (0,), [(3,), (2,)]) == 3
+    assert O.set_distance(scaled, [(3,), (2,)])((0,)) == 3
     adapter = O.DiscreteAdapterSpace(z)
     assert O.first_within(adapter, (0,), [(5,), (0,)], 1) == (0,)
     assert O.first_within(adapter, (0,), [(5,), (6,)], 1) is None
-    assert O.distance_to_set(adapter, (0,), [(5,), (6,)]) == 1
+    assert O.set_distance(adapter, [(5,), (6,)])((0,)) == 1
 
 
 class _DoubledZd(O.ZdSpace):
@@ -105,19 +105,22 @@ _COORDS = st.integers(-10, 10) | st.integers(-(2**70), 2**70)
 def test_distance_to_set_matches_pairwise_minimum(kind, dim, norm, data):
     """The lattice kernel and the ``map`` form both equal the minimum of the
     space's own pairwise distances, a subclass's override included; an empty
-    set is INF."""
+    set is INF.  Bound once, to a list or to an iterator, ``set_distance``
+    answers every query as a function bound for that query alone does."""
     space = _set_distance_space(kind, dim, norm)
     if kind == "free":
         letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6)
         points = letters.map(O.reduce_word)
     else:
         points = st.tuples(*[_COORDS] * dim)
-    x = data.draw(points)
+    xs = data.draw(st.lists(points, min_size=1, max_size=4))
     q_points = data.draw(st.lists(points, max_size=6))
-    want = min((space.distance(x, y) for y in q_points), default=O.INF)
-    got = O.distance_to_set(space, x, q_points)
-    assert got == want and type(got) is type(want)
-    assert O.distance_to_set(space, x, iter(q_points)) == want
+    bound = O.set_distance(space, q_points)
+    bound_once = O.set_distance(space, iter(q_points))
+    for x in xs:
+        want = min((space.distance(x, y) for y in q_points), default=O.INF)
+        for got in (O.set_distance(space, q_points)(x), bound(x), bound_once(x)):
+            assert got == want and type(got) is type(want)
 
 
 def test_greedy_net_example():
