@@ -42,9 +42,10 @@ skeleton takes its lock, so walks may share one between threads.
 
 Every walk steps by the action's ``moves()``, one map per signed
 generator.  An exact ``Translation`` of dimension 1 or 2 moves by
-functions over its vector's coordinates, which ``moves()`` builds on each
-call and stores nowhere; every other generator moves by its own
-``forward`` and ``backward``.
+functions over its vector's coordinates; every other generator moves by
+its own ``forward`` and ``backward``.  The moves and the skeleton key are
+bound once per action on first use, not when it is built, since a
+certificate check builds actions it never walks.
 """
 
 from collections import OrderedDict
@@ -357,6 +358,11 @@ class GeneratedAction:
     actually preserve distances is checked by :func:`verify_isometry`.
     """
 
+    # Bound on first use by moves() and _skeleton; two threads may both
+    # bind one, to equal values.
+    _moves = None
+    _skeleton_key = None
+
     def __init__(self, space, generators):
         generators = tuple(generators)
         if not generators:
@@ -377,18 +383,22 @@ class GeneratedAction:
         """[(s, map of signed generator s)] in expansion order.
 
         A generator that is exactly a ``Translation`` of dimension 1 or 2
-        moves by functions over its vector's coordinates, built on each call
-        and kept nowhere, so a move costs no method call and no dimension
-        test; every other generator moves by its own ``forward`` and
-        ``backward``."""
-        out = []
-        for i, gen in enumerate(self.generators, 1):
-            if type(gen) is Translation and len(gen.v) <= 2:
-                ahead, back = _translation_moves(gen.v)
-            else:
-                ahead, back = gen.forward, gen.backward
-            out += (i, ahead), (-i, back)
-        return out
+        moves by functions over its vector's coordinates, so a move costs no
+        method call and no dimension test; every other generator moves by
+        its own ``forward`` and ``backward``.  The list is bound once per
+        action, on first use, and every call returns it: callers must not
+        mutate it."""
+        moves = self._moves
+        if moves is None:
+            moves = []
+            for i, gen in enumerate(self.generators, 1):
+                if type(gen) is Translation and len(gen.v) <= 2:
+                    ahead, back = _translation_moves(gen.v)
+                else:
+                    ahead, back = gen.forward, gen.backward
+                moves += (i, ahead), (-i, back)
+            self._moves = moves
+        return moves
 
     apply_word = _run_fold(
         _apply_power,
@@ -444,7 +454,8 @@ class OrbitWalk:
     ``budget.max_word_length``, or when a point past ``budget.max_points``
     appears; ``stats.points`` counts each point as it is yielded.  Each
     iteration walks afresh; ``word``, ``len`` and ``skip`` act on the latest
-    walk, and ``len`` is 0 before the first.
+    walk.  Before the first, ``len`` and ``length`` are 0 and ``word``
+    raises InvalidInputError.
 
     ``skip()`` leaves out the subtree of the point last yielded: every point
     whose first word runs through it.  The walk builds and yields none of
@@ -457,18 +468,19 @@ class OrbitWalk:
     or ``Shift``, every point has the kernel as its stabiliser, so the
     skeleton is the same from every start point: the walk takes a shared one
     and replays it, ``x_n = move[letter n](x_(parent n))``, with no seen set
-    and no rejected move; the moves are the action's ``moves()``, built once
-    per iteration.  A walk from the skeleton's own base point reads the base
-    walk's points while that walk is still growing.  A module cache keeps
-    the 8 most recently used shared skeletons, about 56 bytes a point each
-    once grown and about 200 while growing (see the module docstring).  Any
-    other action walks a skeleton of its own.
+    and no rejected move; the moves are the action's ``moves()``, bound
+    once per action, on first use.  A walk from the skeleton's own base
+    point reads the base walk's points while that walk is still growing.
+    A module cache keeps the 8 most recently used shared skeletons, about
+    56 bytes a point each once grown and about 200 while growing (see the
+    module docstring).  Any other action walks a skeleton of its own.
     """
 
     def __init__(self, action, p, budget=DEFAULT_BUDGET, stats=None):
         action.space.check_point(p)
         self._start = (action, p, budget, stats)
         self._points, self._parents, self._letters, self._words = [], [], [], {}
+        self.length = 0
 
     def __len__(self):
         """The number of points the walk has passed, p and skipped points
@@ -483,6 +495,8 @@ class OrbitWalk:
         """The word reaching the i-th point passed, by default the point last
         yielded."""
         parents, letters, words = self._parents, self._letters, self._words
+        if not words:
+            raise InvalidInputError("an orbit walk has no word before its first point")
         if i is None:
             i = len(self._points) - 1
         start, head = i, []
@@ -621,14 +635,17 @@ _skeletons_lock = Lock()
 def _skeleton(action, p, budget):
     """The shared skeleton of the action's key, made from p if there is none;
     a skeleton of its own for a walk whose action may not share one."""
-    gens = action.generators
-    if not all(type(g) in (Translation, LeftMultiplication, Shift) for g in gens):
+    gens_key = action._skeleton_key
+    if gens_key is None:  # () for an action that may not share a skeleton
+        gens = action.generators
+        gens_key = action._skeleton_key = (
+            tuple((type(g), g.describe()) for g in gens)
+            if all(type(g) in (Translation, LeftMultiplication, Shift) for g in gens)
+            else ()
+        )
+    if not gens_key:
         return _Skeleton(action, p, budget)
-    key = (
-        tuple((type(g), g.describe()) for g in gens),
-        budget.max_points,
-        budget.max_word_length,
-    )
+    key = (gens_key, budget.max_points, budget.max_word_length)
     with _skeletons_lock:
         skeleton = _skeletons.get(key)
         if skeleton is None:

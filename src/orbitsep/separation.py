@@ -222,7 +222,7 @@ def _pivot_order(weighted):
 def _separate(action, weighted, q_points, budget, stats):
     space = action.space
     order = _pivot_order(weighted)
-    frames = []  # (level, Q at that level, the word moving P to the level below)
+    frames = []  # (level, Q at that level, the word moving P below, its eps/3)
     moved_by = IDENTITY
     while True:
         for p, eps in order[len(frames) :]:  # descend: escape each pivot, build Q'
@@ -231,7 +231,7 @@ def _separate(action, weighted, q_points, budget, stats):
                 a = find_escape(action, pivot, q_points, eps, budget, stats)
             except BudgetExhaustedError as exc:
                 exc.partial_levels.append(_partial_level(space, pivot, eps, "escape"))
-                for level, _, _ in reversed(frames):
+                for level, *_ in reversed(frames):
                     kw = {"escape": list(level.escape), "restarts": level.restarts}
                     exc.partial_levels.append(
                         _partial_level(space, level.pivot, level.eps, "recursion", **kw)
@@ -240,12 +240,12 @@ def _separate(action, weighted, q_points, budget, stats):
             moved_by = compose(a, moved_by)
             # With nothing left below, h is the identity and the direct case
             # always fires (a clears Q by eps), so a Q0 scan would be wasted.
-            eps3 = Fraction(eps) / 3
+            eps3 = Fraction(eps.numerator, 3 * eps.denominator)  # eps checked exact
             q0 = {}
             if len(frames) + 1 < len(order):
                 q0 = _detect_q0(action, pivot, q_points, eps3, budget, stats)
             level = LevelTrace(pivot, eps, a, list(q0.items()), 0, None, None)
-            frames.append((level, q_points, moved_by))
+            frames.append((level, q_points, moved_by, eps3))
             q_points = _enlarge(action, q_points, q0, a)
 
         # Ascend, composing h level by level.  At the innermost level h is the
@@ -256,8 +256,8 @@ def _separate(action, weighted, q_points, budget, stats):
             level = frames[-1][0]
             level.case, h = "direct", level.escape
         for i in reversed(range(len(frames) - 1)):
-            level, q_points, moved_by = frames[i]
-            a, eps3 = level.escape, Fraction(level.eps) / 3
+            level, q_points, moved_by, eps3 = frames[i]
+            a = level.escape
             ha = compose(h, a)
             image = action.apply_word(ha, level.pivot)
             violating = first_within(space, image, q_points, eps3)
@@ -277,7 +277,7 @@ def _separate(action, weighted, q_points, budget, stats):
             q_points = _enlarge(action, q_points, dict(level.q0), a)
             break
         else:
-            return h, Trace(level for level, _, _ in frames)
+            return h, Trace(level for level, *_ in frames)
 
 
 def evaluate_word(action, weighted, q_points, word):

@@ -230,6 +230,22 @@ def test_moves_keep_the_maps_of_other_generators():
     assert ahead != t.forward and back != t.backward
 
 
+def test_moves_are_bound_once_per_action():
+    """``moves()`` binds its list on the first call, not when the action is
+    built, and returns that one list on every call after; an action of the
+    same generators binds a list of its own."""
+    space, gens = WALK_ACTIONS["zd2-l1"]
+    action = O.GeneratedAction(space, gens)
+    assert "_moves" not in vars(action) and "_skeleton_key" not in vars(action)
+    moves = action.moves()
+    assert action.moves() is moves
+    for _ in O.OrbitWalk(action, (0, 0), O.OrbitBudget(50, 4)):
+        pass
+    assert action.moves() is moves
+    other = O.GeneratedAction(space, gens)
+    assert other.moves() is not moves and len(other.moves()) == len(moves)
+
+
 words_strategy = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
     O.reduce_word
 )
@@ -705,6 +721,53 @@ def test_threads_share_one_skeleton():
     assert not failures, failures
     assert sorted(done) == list(range(60))
     assert len(A._skeletons) == 1
+
+
+@pytest.mark.parametrize("kind", ["zd2-l1", "free2-ab", "shift", "c4"])
+def test_threads_start_the_first_walks_of_a_fresh_action(kind):
+    """Three threads start the first walks of a fresh action at once, so
+    each may bind its moves and skeleton key; every walk matches the
+    reference."""
+    space, gens = {**SHARED_ACTIONS, "c4": WALK_ACTIONS["c4"]}[kind]
+    budget = O.OrbitBudget(60, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(200):
+            A._skeletons.clear()
+            action = O.GeneratedAction(space, [O.generator_from_json(g.to_json()) for g in gens])
+            pivots = _pivots(action, seed, 3)
+            expected = [_reference_orbit(action, p, budget) for p in pivots]
+            start, failures = threading.Barrier(3), []
+
+            def walk(i):
+                try:
+                    start.wait()
+                    _Recorded(action, pivots[i], budget).run().assert_matches(expected[i])
+                except Exception as e:  # reported by the main thread
+                    failures.append(e)
+
+            threads = [threading.Thread(target=walk, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures, failures
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_walk_before_its_first_point(z1_action):
+    """Before a walk yields its first point it has passed none, its length
+    is 0 and it has no word to give."""
+    walk = O.OrbitWalk(z1_action, (4,), O.OrbitBudget(10, 2))
+    assert (len(walk), walk.length) == (0, 0)
+    for i in (None, 0):
+        with pytest.raises(InvalidInputError, match="no word before its first point"):
+            walk.word(i)
+    assert next(iter(walk)) == (4,)
+    assert (len(walk), walk.length, walk.word(), walk.word(0)) == (1, 0, (), ())
 
 
 class _Interrupt(Exception):

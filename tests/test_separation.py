@@ -668,6 +668,25 @@ def test_free_group_separation(free2_action):
     assert_valid(free2_action, P, Q, cert)
 
 
+def test_solve_describes_each_generator_once():
+    """A solve starts a walk per escape and per Q0 scan, but the action
+    binds its skeleton key once: no generator is described twice."""
+    gens = [O.Translation((1, 0)), O.Translation((0, 1))]
+    action = O.GeneratedAction(O.ZdSpace(2, "l1"), gens)
+    calls = []
+    for i, g in enumerate(gens):
+        g.describe = (lambda i, describe: lambda: calls.append(i) or describe())(i, g.describe)
+    P = [((0, 0), Fraction(4)), ((3, 1), Fraction(3)), ((-2, 5), Fraction(2))]
+    Q = [(0, 0), (1, 1), (3, 2), (-2, 4)]
+    stats = O.SearchStats()
+    cert = O.separate_points(action, P, Q, stats=stats)
+    assert_valid(action, P, Q, cert)
+    assert len(cert.trace) == 3 and stats.points > 3
+    assert sorted(calls) == [0, 1]
+    O.separate_points(action, P, Q)
+    assert sorted(calls) == [0, 1]
+
+
 def _referenced_names(func):
     """Every global name the function's code uses, following the package's
     module-level functions it calls (methods are not followed)."""
@@ -719,6 +738,8 @@ def test_checker_shares_no_search_code(checker):
         "_SUBTREE_TEST_EVERY",
         "skip",
         "_words",
+        "_moves",
+        "_skeleton_key",
     }
 
 
