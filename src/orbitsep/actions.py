@@ -26,16 +26,18 @@ itself, so every point's stabiliser is the kernel: ``g.p == h.p`` exactly
 when ``g.o == h.o``.  The walk then keeps or rejects the same moves from
 every start point, and its skeleton is the same from all of them.  Such
 walks share one skeleton per key (each generator's type and description,
-and the budget's two fields), grown lazily from the first start point seen
-and replayed from every other one with one map call per point.  A module
-cache keeps the 8 most recently used skeletons.  Measured with
-``tracemalloc`` in a fresh CPython 3.11 process, a grown skeleton keeps
-about 56 bytes a point: 24 of list slots, the rest mostly the parent
-indices' int objects.  That is 58 KB for the 1201-point ball of ℤ² at word
-length 24, 5.3 MiB for a ℤ² walk of 100,000 points and 55 MiB for one of
-10^6.  While it grows, the walk's points and seen set are kept as well,
-about 200 bytes a point (18.9 MiB at 100,000 points), and the process may
-keep that memory after they are dropped.  Other generators (a
+and the budget's two fields), grown from the first start point seen, one
+word length at a time and only as far as a walk asks, and replayed from
+every other one with one map call per point.  A word length is built aside
+and appended whole, so a map that raises leaves the skeleton without it and
+the next walk grows it again.  A module cache keeps the 8 most recently
+used skeletons.  Measured with ``tracemalloc`` in a fresh CPython 3.11
+process, a grown skeleton keeps about 56 bytes a point: 24 of list slots,
+the rest mostly the parent indices' int objects.  That is 58 KB for the
+1201-point ball of ℤ² at word length 24 and 5.3 MiB for a ℤ² walk of
+100,000 points.  While it grows, the walk's points and seen set are kept
+as well, about 200 bytes a point (19.4 MiB at 100,000 points), and the
+process may keep that memory after they are dropped.  Other generators (a
 ``VertexPermutation``, whose stabilisers differ between points, a
 subclass, a duck-typed generator) walk a skeleton of their own.  Growing a
 skeleton takes its lock, so walks may share one between threads.
@@ -48,6 +50,7 @@ bound once per action on first use, not when it is built, since a
 certificate check builds actions it never walks.
 """
 
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -448,7 +451,8 @@ class OrbitWalk:
     Iterating yields each orbit point once, p first; ``length`` is the word
     length of the point last yielded, and ``word(i)`` the first word
     reaching the i-th point passed (p is the 0th), read off the parent
-    links and kept for the words built after it.  No point is moved by the
+    links and kept for the words built after it; an i the walk has not
+    passed raises InvalidInputError.  No point is moved by the
     letter that undoes its own last letter, so every word is reduced as
     built.  The walk ends when the orbit closes, after the points at length
     ``budget.max_word_length``, or when a point past ``budget.max_points``
@@ -469,7 +473,8 @@ class OrbitWalk:
     skeleton is the same from every start point: the walk takes a shared one
     and replays it, ``x_n = move[letter n](x_(parent n))``, with no seen set
     and no rejected move; the moves are the action's ``moves()``, bound
-    once per action, on first use.  A walk from the skeleton's own base
+    once per action, on first use.  The skeleton grows one word length at
+    a time, as far as the walk asks.  A walk from the skeleton's own base
     point reads the base walk's points while that walk is still growing.
     A module cache keeps the 8 most recently used shared skeletons, about
     56 bytes a point each once grown and about 200 while growing (see the
@@ -495,10 +500,13 @@ class OrbitWalk:
         """The word reaching the i-th point passed, by default the point last
         yielded."""
         parents, letters, words = self._parents, self._letters, self._words
-        if not words:
+        passed = len(self._points)
+        if not passed:
             raise InvalidInputError("an orbit walk has no word before its first point")
         if i is None:
-            i = len(self._points) - 1
+            i = passed - 1
+        elif i not in range(passed):
+            raise InvalidInputError(f"the walk has passed {passed} points, not point {i!r}")
         start, head = i, []
         while i not in words:
             head.append(letters[i])
@@ -543,85 +551,71 @@ class OrbitWalk:
             n = end
 
 
-def _grow(moves, p, budget, parents, letters, lengths, points):
-    """The breadth-first walk from p that a ``_Skeleton`` records.
-
-    Each new point is appended to ``points`` with its parent's index, the
-    letter reaching it and its word length, ``lengths`` last.  The generator
-    is sent a target size and pauses when ``points`` reaches it; it returns
-    True when the walk ends.  It refers to the lists, not to the skeleton,
-    so the two form no reference cycle.
-    """
-    onward = {s: [m for m in moves if m[0] != -s] for s, _ in moves}
-    onward[0] = moves  # p has no last letter to undo
-    seen = {p}
-    cap = budget.max_points
-    target = yield
-    begin = 0
-    for length in range(1, budget.max_word_length + 1):
-        end = len(points)
-        if begin == end:  # the orbit closed
-            break
-        for i in range(begin, end):
-            x = points[i]
-            for s, move in onward[letters[i]]:
-                y = move(x)
-                if y in seen:
-                    continue
-                if len(points) >= cap:
-                    return True
-                seen.add(y)
-                points.append(y)
-                parents.append(i)
-                letters.append(s)
-                lengths.append(length)
-                if len(points) == target:
-                    target = yield
-        begin = end
-    return True
-
-
-_GROW_STEP = 16  # a skeleton asked for entry n grows to n + n // 2 + _GROW_STEP
-
-
 class _Skeleton:
     """The parent index, letter and word length of every point of one
-    breadth-first walk, grown on demand by ``extend``.
+    breadth-first walk, grown one word length at a time by ``extend``.
 
     ``points`` holds the walk's points, its start point first, while it
-    grows, and is dropped with its seen set when the walk ends.  Growing
-    takes the skeleton's lock; reading does not, since ``lengths`` is
-    appended last and so its length counts entries complete in every list.
+    grows, and is dropped with the seen set when the walk ends.  Growing
+    takes the skeleton's lock; reading does not, since each word length is
+    appended to every list in one ``+=``, ``lengths`` last, so its length
+    counts entries complete in every list.
     """
 
-    def __init__(self, action, p, budget, key=None):
-        self.key = key
+    def __init__(self, action, p, budget):
+        moves = action.moves()
         self.parents, self.letters, self.lengths = [0], [0], [0]
         self.points = [p]
-        self._grow = _grow(
-            action.moves(), p, budget, self.parents, self.letters, self.lengths, self.points
-        )
-        next(self._grow)
+        self._onward = {s: [m for m in moves if m[0] != -s] for s, _ in moves}
+        self._onward[0] = moves  # p has no last letter to undo
+        self._seen = {p}
+        self._budget = budget
         self._lock = Lock()
 
     def extend(self, n):
-        """Grow the skeleton past n entries, unless it holds them already or
-        the walk has ended; return its number of entries."""
+        """Grow the skeleton until it holds entry n or its walk has ended;
+        return its number of entries."""
         with self._lock:
-            grow = self._grow
-            if grow is not None and len(self.lengths) <= n:
-                try:
-                    grow.send(n + n // 2 + _GROW_STEP)
-                except StopIteration as stop:
-                    if stop.value is not True:  # an earlier extend raised
-                        raise RuntimeError("this orbit skeleton's walk was interrupted") from None
-                    self._grow = self.points = None
-                except BaseException:
-                    with _skeletons_lock:  # the next walk of the key starts anew
-                        if _skeletons.get(self.key) is self:
-                            del _skeletons[self.key]
-                    raise
+            while self.points is not None and len(self.lengths) <= n:
+                if not self._grow():
+                    self.points = self._seen = self._onward = None
+                    # Copies hold no spare slots; started walks keep the originals.
+                    self.parents, self.letters = self.parents[:], self.letters[:]
+                    self.lengths = self.lengths[:]
             return len(self.lengths)
+
+    def _grow(self):
+        """Append the points of the next word length; return False once the
+        walk has ended: past ``max_word_length``, with no new point (the
+        orbit closed) or with ``max_points`` points.  The new entries are
+        built aside and appended whole, so a map that raises leaves the
+        skeleton as it was and the next call grows the same word length."""
+        points, parents, letters, lengths = self.points, self.parents, self.letters, self.lengths
+        length = lengths[-1] + 1
+        budget = self._budget
+        if length > budget.max_word_length:
+            return False
+        seen, onward = self._seen, self._onward
+        room = budget.max_points - len(points)
+        fresh, new_points, new_parents, new_letters = set(), [], [], []
+        for i in range(bisect_left(lengths, length - 1), len(points)):
+            x = points[i]
+            for s, move in onward[letters[i]]:
+                y = move(x)
+                if y not in seen and y not in fresh:
+                    fresh.add(y)
+                    new_points.append(y)
+                    new_parents.append(i)
+                    new_letters.append(s)
+            if len(new_points) >= room:  # the walk is full
+                break
+        del new_points[room:], new_parents[room:], new_letters[room:]
+        seen |= fresh
+        points += new_points
+        parents += new_parents
+        letters += new_letters
+        lengths += [length] * len(new_points)
+        return 0 < len(new_points) < room
 
 
 # Skeletons of the actions that share them, least recently used first.  The
@@ -649,7 +643,7 @@ def _skeleton(action, p, budget):
     with _skeletons_lock:
         skeleton = _skeletons.get(key)
         if skeleton is None:
-            skeleton = _skeletons[key] = _Skeleton(action, p, budget, key)
+            skeleton = _skeletons[key] = _Skeleton(action, p, budget)
             if len(_skeletons) > _SKELETONS_KEPT:
                 _skeletons.popitem(last=False)
         else:

@@ -774,38 +774,76 @@ class _Interrupt(Exception):
     pass
 
 
-def test_interrupted_skeleton_is_forgotten(monkeypatch):
-    """A walk whose map raises leaves no broken skeleton behind: the cache
-    forgets it, a walk still holding it refuses to go on, and the next walk
-    of the key starts anew and matches the reference."""
+def test_interrupted_layer_is_not_kept(monkeypatch):
+    """A map that raises once, in the middle of growing a word length,
+    leaves the shared skeleton cached and holding whole word lengths only;
+    a walk started before the failure and a fresh walk both go on and match
+    the reference."""
     A._skeletons.clear()
     action = _fresh("zd2-l1")
     budget = O.OrbitBudget(500, 24)
-    moves, calls = action.moves(), []
+    expected = _reference_orbit(action, (5, 5), budget)
+    layer = [x for x, w in expected if len(w) == 3]
+    target, moves, raised = layer[len(layer) // 2], action.moves(), []
 
     def failing(move):
         def call(p):
-            calls.append(p)
-            if len(calls) > 200:
+            if p == target and not raised:
+                raised.append(p)
                 raise _Interrupt
             return move(p)
 
         return call
 
-    failing_moves = [(s, failing(m) if s > 0 else m) for s, m in moves]
-    monkeypatch.setattr(action, "moves", lambda: failing_moves)
+    monkeypatch.setattr(action, "moves", lambda: [(s, failing(m)) for s, m in moves])
     holder = _Recorded(action, (5, 5), budget)
     holder.step()
+    (skeleton,) = A._skeletons.values()
     with pytest.raises(_Interrupt):
-        _Recorded(action, (0, 0), budget).run()
-    assert not A._skeletons
-    monkeypatch.undo()
-    with pytest.raises(RuntimeError):
-        holder.run()
+        _Recorded(action, (5, 5), budget).run()
+    assert raised and list(A._skeletons.values()) == [skeleton]
+    # Word length 4 was being grown from the middle of length 3.
+    assert skeleton.lengths == [len(w) for _, w in expected if len(w) <= 3]
+    holder.run().assert_matches(expected)
     _Recorded(action, (0, 0), budget).run().assert_matches(
         _reference_orbit(action, (0, 0), budget)
     )
-    assert len(A._skeletons) == 1
+    assert list(A._skeletons.values()) == [skeleton]
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_ACTIONS))
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    budget=st.sampled_from(WALK_BUDGETS),
+    asks=st.lists(st.integers(0, 200), min_size=1, max_size=4),
+)
+def test_shared_skeleton_grows_whole_word_lengths(kind, seed, budget, asks):
+    """A shared skeleton asked for entry n holds every entry of n's word
+    length and of no longer one, or the whole walk when it ends first."""
+    A._skeletons.clear()
+    action = _fresh(kind)
+    (p,) = _pivots(action, seed, 1)
+    lengths = [len(w) for _, w in _reference_orbit(action, p, budget)]
+    skeleton = A._skeleton(action, p, budget)
+    top = 0
+    for n in asks:
+        top = max(top, n)
+        want = lengths if top >= len(lengths) else [k for k in lengths if k <= lengths[top]]
+        assert skeleton.extend(n) == len(want)
+        assert skeleton.lengths == want
+        assert len(skeleton.parents) == len(skeleton.letters) == len(want)
+
+
+def test_walk_word_refuses_points_not_passed(z1_action):
+    """``word(i)`` answers only for a point the walk has passed, not for one
+    the skeleton holds ahead of it."""
+    walk = O.OrbitWalk(z1_action, (0,), O.OrbitBudget(100, 5))
+    assert list(islice(walk, 2)) == [(0,), (1,)]
+    assert (walk.word(0), walk.word(1), walk.word()) == ((), (1,), (1,))
+    for i in (-1, 2, 5, 11):
+        with pytest.raises(InvalidInputError, match=f"not point {i}"):
+            walk.word(i)
 
 
 def _skip_rule(seed, share):

@@ -740,6 +740,8 @@ def test_checker_shares_no_search_code(checker):
         "_words",
         "_moves",
         "_skeleton_key",
+        "_onward",
+        "_seen",
     }
 
 
