@@ -28,7 +28,7 @@ every start point, and its skeleton is the same from all of them.  Such
 walks share one skeleton per key (each generator's type and description,
 and the budget's two fields), grown from the first start point seen, one
 word length at a time and only as far as a walk asks, and replayed from
-every other one with one map call per point.  A word length is built aside
+every start point, that first one included, with one map call per point.  A word length is built aside
 and appended whole, so a map that raises leaves the skeleton without it and
 the next walk grows it again.  A module cache keeps the 8 most recently
 used skeletons.  Measured with ``tracemalloc`` in a fresh CPython 3.11
@@ -86,14 +86,16 @@ def _require_fit(gen, space, space_type, fits=lambda b: True):
 class Translation:
     """Lattice translation by an integer vector.
 
-    In dimensions 1 and 2 the maps work on the coordinates directly, which
-    takes a quarter to two fifths of the time of the ``map`` or
-    comprehension form that higher dimensions use.  Points reach them only
-    after ``check_point``, so the indexing is safe.  ``power_all`` moves a
-    whole list of points by ``v·k`` in one comprehension, indexing each
-    point as ``power`` does.  ``GeneratedAction.moves`` moves an exact
-    ``Translation`` of dimension 1 or 2 by functions of its own, not by
-    ``forward`` and ``backward``.
+    In dimensions 1 and 2 ``power`` works on the coordinates directly, which
+    takes a quarter to two fifths of the time of the comprehension that
+    higher dimensions use.  Points reach it only after ``check_point``, so
+    the indexing is safe.  ``power_all`` moves a whole list of points by
+    ``v·k`` in one comprehension, indexing each point as ``power`` does.
+    ``forward`` and ``backward`` map over the coordinates in every
+    dimension: ``GeneratedAction.moves`` moves an exact ``Translation`` of
+    dimension 1 or 2 by functions of its own, so walks and
+    ``verify_isometry`` do not call them, and ``apply_word`` does only for a
+    run of one letter.
     """
 
     kind = "translation"
@@ -108,22 +110,10 @@ class Translation:
         _require_fit(self, space, ZdSpace, lambda b: len(self.v) == b.dim)
 
     def forward(self, p):
-        v = self.v
-        dim = len(v)
-        if dim == 2:
-            return (p[0] + v[0], p[1] + v[1])
-        if dim == 1:
-            return (p[0] + v[0],)
-        return tuple(map(add, p, v))
+        return tuple(map(add, p, self.v))
 
     def backward(self, p):
-        v = self.v
-        dim = len(v)
-        if dim == 2:
-            return (p[0] - v[0], p[1] - v[1])
-        if dim == 1:
-            return (p[0] - v[0],)
-        return tuple(map(sub, p, v))
+        return tuple(map(sub, p, self.v))
 
     def power(self, p, k):
         v = self.v
@@ -474,11 +464,10 @@ class OrbitWalk:
     and replays it, ``x_n = move[letter n](x_(parent n))``, with no seen set
     and no rejected move; the moves are the action's ``moves()``, bound
     once per action, on first use.  The skeleton grows one word length at
-    a time, as far as the walk asks.  A walk from the skeleton's own base
-    point reads the base walk's points while that walk is still growing.
-    A module cache keeps the 8 most recently used shared skeletons, about
-    56 bytes a point each once grown and about 200 while growing (see the
-    module docstring).  Any other action walks a skeleton of its own.
+    a time, as far as the walk asks.  A module cache keeps the 8 most
+    recently used shared skeletons, about 56 bytes a point each once grown
+    and about 200 while growing (see the module docstring).  Any other
+    action walks a skeleton of its own.
     """
 
     def __init__(self, action, p, budget=DEFAULT_BUDGET, stats=None):
@@ -520,9 +509,6 @@ class OrbitWalk:
         self._parents = parents = skeleton.parents
         self._letters = letters = skeleton.letters
         lengths = skeleton.lengths
-        base = skeleton.points  # read once: the skeleton drops it when done
-        if base is not None and base[0] != p:
-            base = None
         moves = dict(action.moves())
         self._points = points = [p]
         self._words = {0: ()}  # the words built so far, by index
@@ -542,7 +528,7 @@ class OrbitWalk:
                 if x is None:  # in a skipped subtree
                     points.append(None)
                     continue
-                x = moves[letters[n]](x) if base is None else base[n]
+                x = moves[letters[n]](x)
                 points.append(x)
                 self.length = lengths[n]
                 if stats is not None:
@@ -602,11 +588,12 @@ class _Skeleton:
             x = points[i]
             for s, move in onward[letters[i]]:
                 y = move(x)
-                if y not in seen and y not in fresh:
+                if y not in seen:
                     fresh.add(y)
-                    new_points.append(y)
-                    new_parents.append(i)
-                    new_letters.append(s)
+                    if len(fresh) > len(new_points):  # y was not in fresh
+                        new_points.append(y)
+                        new_parents.append(i)
+                        new_letters.append(s)
             if len(new_points) >= room:  # the walk is full
                 break
         del new_points[room:], new_parents[room:], new_letters[room:]
@@ -669,6 +656,12 @@ def find_escape(action, p, q_points, eps, budget=DEFAULT_BUDGET, stats=None):
     Equivalently: the first orbit point outside every open eps-ball around Q.
     Exhausting the budget (or the whole orbit) raises BudgetExhaustedError
     carrying the explored-point count.
+
+    p is checked, as every walk's start is, but Q is used as given: a point
+    of Q outside the space may raise any error (a 1-tuple on ℤ², IndexError).
+    The solver calls this once per level with a Q' built from checked
+    points, so checking here would repeat the check for every point of
+    every Q'.
     """
     check_positive(eps, "eps")
     space = action.space

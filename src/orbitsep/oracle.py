@@ -26,7 +26,7 @@ from .actions import (
     VertexPermutation,
 )
 from .errors import BudgetExhaustedError, InvalidInputError
-from .rationals import INF, check_int, check_positive, format_rational, is_inf
+from .rationals import INF, check_int, format_rational, is_inf
 from .separation import (
     certificate_to_json,
     check_certificate,
@@ -39,7 +39,8 @@ from .spaces import (
     FreeSpace,
     ZdSpace,
     base_space,
-    require_distinct,
+    check_points,
+    check_weighted,
     set_distance,
 )
 from .words import IDENTITY
@@ -106,22 +107,17 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     d/eps_p is the pair (d.num * ed, d.den * en), pairs are compared by
     cross-multiplying, and (1, 0) stands for INF.
 
-    P, Q and the weights are checked as ``separate_points`` checks them, with
-    the space's own ``check_point``: a point outside the space, a repeated
-    point or a weight that is not a positive rational raises
-    InvalidInputError before the search starts.
+    P, Q and the weights are checked by ``separate_points``' own
+    ``check_weighted`` and ``check_points``, so with its messages: a point
+    outside the space, a repeated point or a weight that is not a positive
+    rational raises InvalidInputError before the search starts.
     """
     check_int(max_word_length, "max_word_length", 0)
     weighted = list(weighted)
     q_points = list(q_points)
     space = action.space
-    for p, eps in weighted:
-        space.check_point(p)
-        check_positive(eps, "eps")
-    require_distinct([p for p, _ in weighted], "P")
-    for q in q_points:
-        space.check_point(q)
-    require_distinct(q_points, "Q")
+    check_weighted(space, weighted)
+    check_points(space, q_points)
     # With Q empty every d(image_p, Q) is INF, so every image rates INF.
     eps_parts = [(e.numerator, e.denominator) for _, e in weighted] if q_points else []
     distance_to_q = set_distance(space, q_points)

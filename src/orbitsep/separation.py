@@ -38,6 +38,8 @@ from .rationals import (
     INF, check_int, check_positive, format_rational, is_inf, parse_rational
 )
 from .spaces import (
+    check_points,
+    check_weighted,
     first_within,
     greedy_epsilon_net,
     is_discrete,
@@ -75,19 +77,6 @@ class SeparationCertificate:
     achieved: list  # [(point, distance to Q of the moved point)]
     ratio: object  # min achieved(p) / eps_p, INF for empty P
     trace: Optional[Trace]  # None: no trace recorded
-
-
-def _check_weighted(action, weighted, what="P"):
-    for p, eps in weighted:
-        action.space.check_point(p)
-        check_positive(eps, f"weight for {p!r}")
-    require_distinct([p for p, _ in weighted], what)
-
-
-def _check_points(action, points, what="Q"):
-    for p in points:
-        action.space.check_point(p)
-    require_distinct(points, what)
 
 
 # A subtree test costs a distance call or more, while a subtree found dead a
@@ -326,8 +315,8 @@ def separate_points(action, weighted, q_points, budget=DEFAULT_BUDGET, stats=Non
     """
     weighted = list(weighted)
     q_points = list(q_points)
-    _check_weighted(action, weighted)
-    _check_points(action, q_points)
+    check_weighted(action.space, weighted)
+    check_points(action.space, q_points)
     word, trace = _separate(action, weighted, q_points, budget, stats)
     achieved, ratio = _evaluate_word(action, weighted, q_points, word)
     if not is_inf(ratio) and 3 * ratio < 1:
@@ -381,8 +370,8 @@ def separate_compact(action, c_weighted, d_points, budget=DEFAULT_BUDGET, stats=
     d_points = list(d_points)
     if not c_weighted:
         raise InvalidInputError("C must be nonempty")
-    _check_weighted(action, c_weighted, "C")
-    _check_points(action, d_points, "D")
+    check_weighted(action.space, c_weighted, "C")
+    check_points(action.space, d_points, "D")
     space = action.space
 
     cover = []
@@ -414,7 +403,7 @@ def separated_sequence(action, tuple_points, eps, n, budget=DEFAULT_BUDGET, stat
     check_positive(eps, "eps")
     check_int(n, "n", 1)
     tuple_points = list(tuple_points)
-    _check_points(action, tuple_points, "tuple")
+    check_points(action.space, tuple_points, "tuple")
     three = 3 * Fraction(eps)
     if is_discrete(action.space):
         # 0/1 metrics cap all distances at 1, so "eps apart" means disjoint
@@ -446,8 +435,8 @@ def full_existence_step(action, anchors, obstacles, budget=DEFAULT_BUDGET, stats
     """
     anchors = list(anchors)
     obstacles = list(obstacles)
-    _check_weighted(action, obstacles, "obstacles")
-    _check_points(action, anchors, "anchors")
+    check_weighted(action.space, obstacles, "obstacles")
+    check_points(action.space, anchors, "anchors")
     cert = separate_points(action, obstacles, anchors, budget, stats)
     sigma = cert.word
     realization = action.apply_word_all(invert(sigma), anchors)
@@ -475,17 +464,21 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
     to it, so the replay builds no Q' and composes no escape after the last
     level.  At the last level h is the identity, so the pivot's image is the
     escape's, already checked to clear Q by eps: its case is ``direct`` with
-    no scan.  Each weight is checked as ``separate_points`` checks it, before
-    the weights are sorted.
+    no scan.  Each point of P and Q is checked with the space's
+    ``check_point``, and each weight as ``separate_points`` checks it,
+    before any point is moved or the weights are sorted.
     """
     weighted = list(weighted)
-    for p, eps in weighted:
-        check_positive(eps, f"weight for {p!r}")
-    order = _pivot_order(weighted)
     q_points = list(q_points)
+    space = action.space
+    for p, eps in weighted:
+        space.check_point(p)
+        check_positive(eps, f"weight for {p!r}")
+    for q in q_points:
+        space.check_point(q)
+    order = _pivot_order(weighted)
     if len(trace) != len(order):
         raise TraceReplayError(f"{len(trace)} trace levels for {len(order)} points")
-    space = action.space
     moved_by = IDENTITY
     steps = []
     for level, (p, eps) in zip(trace, order):  # descend: check each escape and witness

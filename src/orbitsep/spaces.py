@@ -463,30 +463,16 @@ def set_distance(space, points):
     serves any number of queries.
 
     The kernel is chosen once per set.  On an exact ``ZdSpace`` of dimension
-    1 or 2 each query takes the minimum in one loop over the coordinates,
-    with ``ZdSpace.distance``'s arithmetic inline for each y, so no method is
+    2 each query takes the minimum in one loop over the coordinates, with
+    ``ZdSpace.distance``'s arithmetic inline for each y, so no method is
     called per pair.  The points are indexed unchecked, so callers check
-    them first.  A subclass, which may override ``distance``, and every
-    other space use ``space.distance``.
+    them first.  Other dimensions, a subclass, which may override
+    ``distance``, and every other space use ``space.distance``.
     """
     points = list(points)
-    if type(space) is not ZdSpace or space.dim > 2:
+    if type(space) is not ZdSpace or space.dim != 2:
         distance = space.distance
         return lambda x: min(map(distance, repeat(x), points), default=INF)
-    if space.dim == 1:
-
-        def nearest(x):
-            best = INF
-            x0 = x[0]
-            for y in points:
-                a = x0 - y[0]
-                if a < 0:
-                    a = -a
-                if a < best:
-                    best = a
-            return best
-
-        return nearest
     l1 = space.norm == "l1"
 
     def nearest(x):
@@ -535,6 +521,23 @@ def require_distinct(points, what="point set"):
         if p in seen:
             raise InvalidInputError(f"duplicate point {p!r} in {what}")
         seen.add(p)
+
+
+def check_weighted(space, weighted, what="P"):
+    """Raise InvalidInputError unless each (p, eps) has p in the space and
+    eps a positive rational, and the points are distinct."""
+    for p, eps in weighted:
+        space.check_point(p)
+        check_positive(eps, f"weight for {p!r}")
+    require_distinct([p for p, _ in weighted], what)
+
+
+def check_points(space, points, what="Q"):
+    """Raise InvalidInputError unless every point is in the space and the
+    points are distinct."""
+    for p in points:
+        space.check_point(p)
+    require_distinct(points, what)
 
 
 class MetricViolation:

@@ -802,6 +802,18 @@ def _probe(name, command, doc, *extra, message):
             message="expected a rational, got list",
         ),
         _probe(
+            "P-entry-without-eps",
+            "separate",
+            {**VALID_SEPARATE, "P": [{"point": [0]}]},
+            message="weighted entry must have 'point' and 'eps'",
+        ),
+        _probe(
+            "C-entry-without-point",
+            "compact",
+            {**Z1, "C": [{"delta": "1"}], "D": []},
+            message="weighted entry must have 'point' and 'delta'",
+        ),
+        _probe(
             "fullexist-duplicate-anchor",
             "fullexist",
             {**Z1, "anchors": [[0], [0]], "obstacles": [{"point": [5], "eps": "2"}]},

@@ -215,8 +215,9 @@ def test_brute_force_rejects_a_bad_bound(z1_action, bound):
 
 @pytest.mark.parametrize("eps", [0, Fraction(-1, 2), O.INF])
 def test_brute_force_rejects_a_bad_eps(z1_action, eps):
-    """The integer-pair ratios need every eps positive and finite."""
-    with pytest.raises(InvalidInputError, match="eps"):
+    """The integer-pair ratios need every eps positive and finite; the
+    refusal is the solver's own."""
+    with pytest.raises(InvalidInputError, match=r"^weight for \(0,\) must be a positive rational"):
         O.brute_force_separate(z1_action, [((0,), eps)], [(0,)], 2)
 
 

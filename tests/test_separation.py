@@ -180,6 +180,13 @@ def test_sequence_validation(z1_action):
         O.separated_sequence(z1_action, [(0,), (0,)], 1, 2)
 
 
+def test_sequence_refuses_eps_above_1_on_a_discrete_metric(shift_action):
+    """No two points of a 0/1 metric are more than 1 apart, so no copy could
+    be placed."""
+    with pytest.raises(InvalidInputError, match="more than 1 apart"):
+        O.separated_sequence(shift_action, [0], Fraction(3, 2), 2)
+
+
 def _inexact(name, call, message):
     """``call(action on Z, stats)`` must refuse its input with ``message``."""
     return pytest.param(call, message, id=name)
@@ -206,7 +213,7 @@ def _inexact(name, call, message):
         _inexact(
             "oracle-weight-float",
             lambda a, s: O.brute_force_separate(a, [((0,), 0.5)], [(0,)], 2, s),
-            "eps must be a positive rational, got 0.5",
+            "weight for (0,) must be a positive rational, got 0.5",
         ),
         *(
             _inexact(
@@ -608,7 +615,7 @@ def test_evaluate_word_builds_one_fraction(z1_action, monkeypatch):
     assert ratio == min(Fraction(d) / eps for (_, d), (_, eps) in zip(achieved, P))
 
 
-@pytest.mark.parametrize(
+_WRONG_LENGTH_ON_ZD2 = pytest.mark.parametrize(
     "P, Q",
     [
         ([((1, 2, 3), 1)], [(0, 0)]),
@@ -617,11 +624,23 @@ def test_evaluate_word_builds_one_fraction(z1_action, monkeypatch):
     ],
     ids=["p-3-tuple", "p-1-tuple", "q-3-tuple"],
 )
+
+
+@_WRONG_LENGTH_ON_ZD2
 def test_evaluate_word_checks_its_points(zd2_action, P, Q):
     """A point of the wrong length is refused, not indexed as a lattice
     point (a 3-tuple read as distance 2, a 1-tuple an IndexError)."""
     with pytest.raises(InvalidInputError, match="expected a 2-tuple of ints"):
         O.evaluate_word(zd2_action, P, Q, ())
+
+
+@_WRONG_LENGTH_ON_ZD2
+def test_replay_trace_checks_its_points(zd2_action, P, Q):
+    """replay_trace refuses a point of the wrong length before it moves any:
+    a 1-tuple in P once raised IndexError."""
+    level = O.LevelTrace(P[0][0], Fraction(1), (1,), [], 0, "direct", None)
+    with pytest.raises(InvalidInputError, match="expected a 2-tuple of ints"):
+        O.replay_trace(zd2_action, P, Q, sep.Trace([level]))
 
 
 def test_certificate_json_roundtrip(z1_action):

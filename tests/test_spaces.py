@@ -349,6 +349,23 @@ def test_validate_metric_sweeps_a_small_space_instead_of_the_sample():
     assert len(keys) == len(set(keys)) > 0
 
 
+class _Lopsided(O.ZdSpace):
+    """ℤ with one added to d(x, y) unless x lies above y: d(x, x) = 1, and
+    d(x, y) != d(y, x) whenever x != y."""
+
+    def distance(self, p, q):
+        return abs(p[0] - q[0]) + (p[0] <= q[0])
+
+
+def test_validate_metric_reports_identity_and_symmetry():
+    space = _Lopsided(1, "l1")
+    violations = O.validate_metric(space, [((0,), (0,), (2,))])
+    assert [v.to_json(space) for v in violations] == [
+        {"axiom": "identity", "points": [[0], [0]], "detail": "d(x,x)=1"},
+        {"axiom": "symmetry", "points": [[0], [2]], "detail": "d=3 vs 2"},
+    ]
+
+
 def test_validate_metric_empty_sample_exhaustive_pass():
     g = O.FiniteGraphSpace(4, [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]])
     assert O.validate_metric(g) == []
