@@ -28,16 +28,10 @@ every start point, and its skeleton is the same from all of them.  Such
 walks share one skeleton per key (each generator's type and description,
 and the budget's two fields), grown from the first start point seen, one
 word length at a time and only as far as a walk asks, and replayed from
-every start point, that first one included, with one map call per point.  A word length is built aside
-and appended whole, so a map that raises leaves the skeleton without it and
-the next walk grows it again.  A module cache keeps the 8 most recently
-used skeletons.  Measured with ``tracemalloc`` in a fresh CPython 3.11
-process, a grown skeleton keeps about 56 bytes a point: 24 of list slots,
-the rest mostly the parent indices' int objects.  That is 58 KB for the
-1201-point ball of ℤ² at word length 24 and 5.3 MiB for a ℤ² walk of
-100,000 points.  While it grows, the walk's points and seen set are kept
-as well, about 200 bytes a point (19.4 MiB at 100,000 points), and the
-process may keep that memory after they are dropped.  Other generators (a
+every start point, that first one included, with one map call per point.
+A word length is built aside and appended whole, so a map that raises
+leaves the skeleton without it and the next walk grows it again.  A module
+cache keeps the 8 most recently used skeletons.  Other generators (a
 ``VertexPermutation``, whose stabilisers differ between points, a
 subclass, a duck-typed generator) walk a skeleton of their own.  Growing a
 skeleton takes its lock, so walks may share one between threads.
@@ -54,18 +48,18 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import repeat
 from operator import add, sub
 from threading import Lock
 
 from .errors import BudgetExhaustedError, InvalidInputError
 from .rationals import check_int, check_positive
 from .spaces import (
-    EXHAUSTIVE_LIMIT,
     DiscreteShiftSpace,
     FiniteGraphSpace,
     FreeSpace,
     ZdSpace,
+    _tuples_to_check,
     base_space,
     first_within,
     word_from_string,
@@ -86,16 +80,15 @@ def _require_fit(gen, space, space_type, fits=lambda b: True):
 class Translation:
     """Lattice translation by an integer vector.
 
-    In dimensions 1 and 2 ``power`` works on the coordinates directly, which
-    takes a quarter to two fifths of the time of the comprehension that
-    higher dimensions use.  Points reach it only after ``check_point``, so
-    the indexing is safe.  ``power_all`` moves a whole list of points by
-    ``v·k`` in one comprehension, indexing each point as ``power`` does.
-    ``forward`` and ``backward`` map over the coordinates in every
-    dimension: ``GeneratedAction.moves`` moves an exact ``Translation`` of
-    dimension 1 or 2 by functions of its own, so walks and
-    ``verify_isometry`` do not call them, and ``apply_word`` does only for a
-    run of one letter.
+    In dimensions 1 and 2 ``power`` works on the coordinates directly;
+    higher dimensions use a comprehension.  Points reach it only after
+    ``check_point``, so the indexing is safe.  ``power_all`` moves a whole
+    list of points by ``v·k`` in one comprehension, indexing each point as
+    ``power`` does.  ``forward`` and ``backward`` map over the coordinates
+    in every dimension: ``GeneratedAction.moves`` moves an exact
+    ``Translation`` of dimension 1 or 2 by functions of its own, so walks
+    and ``verify_isometry`` do not call them, and ``apply_word`` does only
+    for a run of one letter.
     """
 
     kind = "translation"
@@ -465,9 +458,8 @@ class OrbitWalk:
     and no rejected move; the moves are the action's ``moves()``, bound
     once per action, on first use.  The skeleton grows one word length at
     a time, as far as the walk asks.  A module cache keeps the 8 most
-    recently used shared skeletons, about 56 bytes a point each once grown
-    and about 200 while growing (see the module docstring).  Any other
-    action walks a skeleton of its own.
+    recently used shared skeletons.  Any other action walks a skeleton of
+    its own.
     """
 
     def __init__(self, action, p, budget=DEFAULT_BUDGET, stats=None):
@@ -734,13 +726,7 @@ def verify_isometry(action, pairs=()):
     not raised.
     """
     space = action.space
-    pairs = list(pairs)
-    for pair in pairs:
-        for x in pair:
-            space.check_point(x)
-    universe = space.universe()
-    if universe is not None and len(universe) <= EXHAUSTIVE_LIMIT:
-        pairs = product(universe, repeat=2)
+    pairs = _tuples_to_check(space, pairs, 2)
     found = {}  # (kind, generator, points) -> its violation
 
     def report(kind, s, points, detail):

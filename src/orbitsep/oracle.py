@@ -107,10 +107,8 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     d/eps_p is the pair (d.num * ed, d.den * en), pairs are compared by
     cross-multiplying, and (1, 0) stands for INF.
 
-    P, Q and the weights are checked by ``separate_points``' own
-    ``check_weighted`` and ``check_points``, so with its messages: a point
-    outside the space, a repeated point or a weight that is not a positive
-    rational raises InvalidInputError before the search starts.
+    P, Q and the weights are checked as ``separate_points`` checks them,
+    before the search starts.
     """
     check_int(max_word_length, "max_word_length", 0)
     weighted = list(weighted)

@@ -23,6 +23,14 @@ moved: each level records the word that moves P to the level below it.
 
 Every certificate carries the per-point achieved distances and the trace,
 one level per point, and is re-checked exactly before being returned.
+
+Inputs are checked by the public functions, and the cores behind them
+(``_separate``, ``_evaluate_word``, ``_replay_trace``) take them as checked.
+The solvers and ``check_certificate`` check P and Q with ``check_weighted``
+and ``check_points``: each point in the space and each weight a positive
+rational, in input order, then the points distinct; InvalidInputError names
+the first fault.  ``evaluate_word`` and ``replay_trace`` make the same point
+and weight checks but require no distinctness.
 """
 
 from bisect import bisect_left, bisect_right
@@ -38,12 +46,12 @@ from .rationals import (
     INF, check_int, check_positive, format_rational, is_inf, parse_rational
 )
 from .spaces import (
+    _check_members,
     check_points,
     check_weighted,
     first_within,
     greedy_epsilon_net,
     is_discrete,
-    require_distinct,
     set_distance,
 )
 from .words import IDENTITY, check_word, compose, invert
@@ -271,29 +279,19 @@ def _separate(action, weighted, q_points, budget, stats):
 
 def evaluate_word(action, weighted, q_points, word):
     """Per-point distances d(word.p, Q) and the worst achieved/eps ratio (INF
-    when P or Q is empty), compared as cross-multiplied integer pairs.
-
-    Every point of P and Q is checked with the space's ``check_point`` and
-    every weight as a positive rational; InvalidInputError names the first
-    that fails."""
+    when P or Q is empty), compared as cross-multiplied integer pairs."""
     weighted = list(weighted)
     q_points = list(q_points)
-    check_point = action.space.check_point
-    for p, _ in weighted:
-        check_point(p)
-    for q in q_points:
-        check_point(q)
+    _check_members(action.space, weighted, q_points)
     return _evaluate_word(action, weighted, q_points, word)
 
 
 def _evaluate_word(action, weighted, q_points, word):
-    """``evaluate_word`` on points already checked; the weights are checked
-    here."""
+    """``evaluate_word`` on checked inputs."""
     distance_to_q = set_distance(action.space, q_points)
     achieved = []
     num, den = 1, 0  # INF
     for p, eps in weighted:
-        check_positive(eps, "weight")
         d = distance_to_q(action.apply_word(word, p))
         achieved.append((p, d))
         if q_points:
@@ -464,18 +462,17 @@ def replay_trace(action, weighted, q_points, trace, audit=None):
     to it, so the replay builds no Q' and composes no escape after the last
     level.  At the last level h is the identity, so the pivot's image is the
     escape's, already checked to clear Q by eps: its case is ``direct`` with
-    no scan.  Each point of P and Q is checked with the space's
-    ``check_point``, and each weight as ``separate_points`` checks it,
-    before any point is moved or the weights are sorted.
+    no scan.
     """
     weighted = list(weighted)
     q_points = list(q_points)
+    _check_members(action.space, weighted, q_points)
+    return _replay_trace(action, weighted, q_points, trace, audit)
+
+
+def _replay_trace(action, weighted, q_points, trace, audit=None):
+    """``replay_trace`` on checked inputs."""
     space = action.space
-    for p, eps in weighted:
-        space.check_point(p)
-        check_positive(eps, f"weight for {p!r}")
-    for q in q_points:
-        space.check_point(q)
     order = _pivot_order(weighted)
     if len(trace) != len(order):
         raise TraceReplayError(f"{len(trace)} trace levels for {len(order)} points")
@@ -538,10 +535,9 @@ def check_certificate(action, weighted, q_points, cert):
     problems = []
     weighted = list(weighted)
     q_points = list(q_points)
-    # evaluate_word checks the points and weights; these check distinctness.
-    achieved, ratio = evaluate_word(action, weighted, q_points, cert.word)
-    require_distinct([p for p, _ in weighted], "P")
-    require_distinct(q_points, "Q")
+    check_weighted(action.space, weighted)
+    check_points(action.space, q_points)
+    achieved, ratio = _evaluate_word(action, weighted, q_points, cert.word)
     points = {p for p, _ in weighted}
     stored = {}
     for p, d in cert.achieved:  # the first entry per point of P counts
@@ -565,7 +561,7 @@ def check_certificate(action, weighted, q_points, cert):
         problems.append(f"ratio {format_rational(ratio)} is below 1/3")
     if cert.trace is not None:
         try:
-            replayed = replay_trace(action, weighted, q_points, cert.trace)
+            replayed = _replay_trace(action, weighted, q_points, cert.trace)
             if replayed != cert.word:
                 problems.append("trace replay produced a different word")
         except TraceReplayError as exc:

@@ -70,10 +70,9 @@ class ZdSpace(MetricSpace):
     l1 or linf norm.
 
     In dimensions 1 and 2 ``distance`` works on the coordinates directly
-    (subtract, flip a negative sign, then add or take the larger), which
-    takes a third to a quarter of the time of the ``map`` chain that higher
-    dimensions use.  Points reach it only after ``check_point``, so the
-    indexing is safe.
+    (subtract, flip a negative sign, then add or take the larger); higher
+    dimensions use a ``map`` chain.  Points reach it only after
+    ``check_point``, so the indexing is safe.
     """
 
     kind = "zd"
@@ -523,20 +522,31 @@ def require_distinct(points, what="point set"):
         seen.add(p)
 
 
+def _check_members(space, weighted, points=()):
+    """Raise InvalidInputError at the first point outside the space or weight
+    that is not a positive rational: each (p, eps) of ``weighted`` in order,
+    then each of ``points``.  Distinctness is not checked."""
+    for p, eps in weighted:
+        space.check_point(p)
+        try:
+            check_positive(eps, "weight")
+        except InvalidInputError:  # name the point only for a refused weight
+            check_positive(eps, f"weight for {p!r}")
+    for q in points:
+        space.check_point(q)
+
+
 def check_weighted(space, weighted, what="P"):
     """Raise InvalidInputError unless each (p, eps) has p in the space and
     eps a positive rational, and the points are distinct."""
-    for p, eps in weighted:
-        space.check_point(p)
-        check_positive(eps, f"weight for {p!r}")
+    _check_members(space, weighted)
     require_distinct([p for p, _ in weighted], what)
 
 
 def check_points(space, points, what="Q"):
     """Raise InvalidInputError unless every point is in the space and the
     points are distinct."""
-    for p in points:
-        space.check_point(p)
+    _check_members(space, (), points)
     require_distinct(points, what)
 
 
@@ -562,6 +572,20 @@ class MetricViolation:
 EXHAUSTIVE_LIMIT = 64
 
 
+def _tuples_to_check(space, tuples, arity):
+    """Every ``arity``-tuple of a finite space of at most ``EXHAUSTIVE_LIMIT``
+    points, else the given tuples; each point of the given ones is checked
+    with the space's ``check_point`` either way."""
+    tuples = list(tuples)
+    for t in tuples:
+        for x in t:
+            space.check_point(x)
+    universe = space.universe()
+    if universe is not None and len(universe) <= EXHAUSTIVE_LIMIT:
+        return product(universe, repeat=arity)
+    return tuples
+
+
 def validate_metric(space, triples=()):
     """Check metric axioms on the given triples; exhaustive on small spaces.
 
@@ -571,13 +595,7 @@ def validate_metric(space, triples=()):
     which must still be points of the space.  Each violation is reported
     once, in the order found; they are returned, not raised.
     """
-    triples = list(triples)
-    for triple in triples:
-        for x in triple:
-            space.check_point(x)
-    universe = space.universe()
-    if universe is not None and len(universe) <= EXHAUSTIVE_LIMIT:
-        triples = product(universe, repeat=3)
+    triples = _tuples_to_check(space, triples, 3)
     found = {}  # (axiom, points) -> its violation
 
     def report(axiom, points, detail):

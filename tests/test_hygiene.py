@@ -1,9 +1,10 @@
 """Dead code in the package (imports a module never uses, definitions
-nothing calls, methods nothing reads), recursion and assertions.  All are
-found from the source alone, with ``ast``."""
+nothing calls, methods nothing reads), recursion, assertions and measured
+figures in the docs.  All are found from the source alone, with ``ast``."""
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -74,7 +75,13 @@ def test_every_private_definition_is_referenced():
 def test_every_public_definition_is_referenced():
     # separated_family is a library entry point the README documents: it
     # certifies that an orbit has no small eps-net, which no solver step needs.
-    allowed = ["actions.py: separated_family"]
+    # evaluate_word and replay_trace are documented library entry points too:
+    # check_certificate checks its inputs once and runs their cores.
+    allowed = [
+        "actions.py: separated_family",
+        "separation.py: evaluate_word",
+        "separation.py: replay_trace",
+    ]
     assert [d for d in _unreferenced(private=False) if d not in allowed] == []
 
 
@@ -141,3 +148,35 @@ def test_every_method_is_read():
         "separation.py: Trace.levels",
     ]
     assert [m for m in _unread_methods() if m not in allowed] == []
+
+
+# A timing or a size (a number with its unit), a speed-up or a share of the
+# work, or the tool that measured one.
+_FIGURE = re.compile(
+    r"\d\s*(ns|µs|ms|KiB|MiB|GiB|KB|MB|bytes)\b|times faster|of the time|million"
+    r"|tracemalloc|\b(?i:two|three|four) (thirds|quarters|fifths)\b|\d\s*%"
+)
+
+
+def _documents():
+    """README.md, then every docstring in the package, as (where, text)."""
+    yield "README.md", (PACKAGE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node, clean=False)
+                if doc:
+                    yield f"{module}: {getattr(node, 'name', 'module')}", doc
+
+
+def test_docs_quote_no_measured_figure():
+    """README and the docstrings state contracts.  Speed and memory figures
+    go stale with the next change to the code they describe, so they live
+    in CHANGES.md, each with the commit it was measured at."""
+    found = [
+        f"{where}: {line.strip()}"
+        for where, text in _documents()
+        for line in text.splitlines()
+        if _FIGURE.search(line)
+    ]
+    assert found == []

@@ -14,6 +14,8 @@ from orbitsep.errors import (
     TraceReplayError,
 )
 from orbitsep import separation as sep
+from orbitsep import spaces
+from orbitsep.rationals import check_positive
 from orbitsep.separation import _detect_q0, _enlarge
 
 Z_FALLBACK = {
@@ -227,7 +229,7 @@ def _inexact(name, call, message):
             _inexact(
                 f"evaluate-weight-{shown}",
                 lambda a, s, w=w: O.evaluate_word(a, [((0,), w)], [(0,)], ()),
-                f"weight must be a positive rational, got {shown}",
+                f"weight for (0,) must be a positive rational, got {shown}",
             )
             for w, shown in ((0.5, "0.5"), (O.INF, "inf"), (True, "True"))
         ),
@@ -263,7 +265,7 @@ def _inexact(name, call, message):
                     [(5,)],
                     O.separate_points(a, [((0,), Fraction(1, 2))], [(5,)]),
                 ),
-                f"weight must be a positive rational, got {shown}",
+                f"weight for (0,) must be a positive rational, got {shown}",
             )
             for w, shown in ((0.5, "0.5"), ("3", "'3'"), (0, "0"))
         ),
@@ -641,6 +643,67 @@ def test_replay_trace_checks_its_points(zd2_action, P, Q):
     level = O.LevelTrace(P[0][0], Fraction(1), (1,), [], 0, "direct", None)
     with pytest.raises(InvalidInputError, match="expected a 2-tuple of ints"):
         O.replay_trace(zd2_action, P, Q, sep.Trace([level]))
+
+
+class _CountingZd(O.ZdSpace):
+    """ℤ that counts its ``check_point`` calls."""
+
+    checked = 0
+
+    def check_point(self, p):
+        self.checked += 1
+        super().check_point(p)
+
+
+def test_inputs_are_checked_once(monkeypatch):
+    """check_certificate checks each point of P and Q and each weight once,
+    at its boundary, and separate_points each weight once."""
+    weight_checks = []
+
+    def counting(x, what):
+        weight_checks.append(what)
+        return check_positive(x, what)
+
+    for module in (sep, spaces):
+        monkeypatch.setattr(module, "check_positive", counting)
+    space = _CountingZd(1)
+    action = O.GeneratedAction(space, [O.Translation((1,))])
+    P = [((0,), Fraction(2)), ((10,), Fraction(1)), ((20,), Fraction(3))]
+    Q = [(0,), (5,), (10,), (15,)]
+    cert = O.separate_points(action, P, Q)
+    assert len(weight_checks) == 3
+    weight_checks.clear()
+    space.checked = 0
+    assert O.check_certificate(action, P, Q, cert) == []
+    assert (space.checked, len(weight_checks)) == (7, 3)
+
+
+@pytest.mark.parametrize(
+    "P, Q, message",
+    [
+        ([((0,), 1), ((0,), 1)], [(1.5,)], "duplicate point (0,) in P"),
+        ([((0,), 0.5)], [("x",)], "weight for (0,) must be a positive rational, got 0.5"),
+        ([((0,), 1), ((1, 2), 1)], [(0,)], "expected a 1-tuple of ints, got (1, 2)"),
+        ([((0,), 1)], [(3,), (3,), (1.5,)], "lattice coordinate must be an int, got 1.5"),
+        ([((0,), 1)], [(3,), (3,)], "duplicate point (3,) in Q"),
+    ],
+    ids=["dup-p-before-bad-q", "weight-before-bad-q", "p-2-tuple", "bad-q-before-dup-q", "dup-q"],
+)
+def test_checker_refuses_what_the_solver_refuses(z1_action, P, Q, message):
+    """check_certificate, separate_points and brute_force_separate name the
+    same first fault of a malformed P or Q."""
+    cert = O.separate_points(z1_action, [((0,), Fraction(1))], [(5,)])
+    calls = [
+        lambda: O.check_certificate(z1_action, P, Q, cert),
+        lambda: O.separate_points(z1_action, P, Q),
+        lambda: O.brute_force_separate(z1_action, P, Q, 2),
+    ]
+    messages = []
+    for call in calls:
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == [message] * 3
 
 
 def test_certificate_json_roundtrip(z1_action):
