@@ -5,43 +5,9 @@ A group element is always an ``IsometryWord``: a reduced tuple of signed
 inverse, the empty tuple is the identity).  Words are evaluated right to
 left, so ``apply_word(compose(u, v), p) == apply_word(u, apply_word(v, p))``.
 
-Orbit exploration is breadth-first and deterministic: signed generators are
-tried in the order ``+1, -1, +2, -2, ...``, points are deduplicated by
-structural equality, and each point is paired with the first word reaching
-it.  One walker, ``OrbitWalk``, does every such search.  It stores each
-point with its parent's index and the letter that reached it, builds a word
-only for the points a search returns or keeps, and never tries the letter
-that undoes a point's own last letter, because that move lands on the
-parent.  This assumes that each generator's backward map inverts its
-forward map, which the "inverse" check of ``verify_isometry`` tests.  A
-search may skip the subtree of a point, the points whose first word runs
-through it; the walk then builds none of them.  Every search is bounded by
-an ``OrbitBudget``; running out of budget (or exhausting a finite orbit)
-raises ``BudgetExhaustedError``.
-
-The parent links, letters and word lengths form the walk's skeleton.  When
-every generator is exactly a ``Translation``, ``LeftMultiplication`` or
-``Shift``, the group acts through a homomorphism onto a group acting on
-itself, so every point's stabiliser is the kernel: ``g.p == h.p`` exactly
-when ``g.o == h.o``.  The walk then keeps or rejects the same moves from
-every start point, and its skeleton is the same from all of them.  Such
-walks share one skeleton per key (each generator's type and description,
-and the budget's two fields), grown from the first start point seen, one
-word length at a time and only as far as a walk asks, and replayed from
-every start point, that first one included, with one map call per point.
-A word length is built aside and appended whole, so a map that raises
-leaves the skeleton without it and the next walk grows it again.  A module
-cache keeps the 8 most recently used skeletons.  Other generators (a
-``VertexPermutation``, whose stabilisers differ between points, a
-subclass, a duck-typed generator) walk a skeleton of their own.  Growing a
-skeleton takes its lock, so walks may share one between threads.
-
-Every walk steps by the action's ``moves()``, one map per signed
-generator.  An exact ``Translation`` of dimension 1 or 2 moves by
-functions over its vector's coordinates; every other generator moves by
-its own ``forward`` and ``backward``.  The moves and the skeleton key are
-bound once per action on first use, not when it is built, since a
-certificate check builds actions it never walks.
+Every orbit search runs on one breadth-first walker, ``OrbitWalk``, under an
+``OrbitBudget``; running out of budget (or exhausting a finite orbit) raises
+``BudgetExhaustedError``.
 """
 
 from bisect import bisect_left
@@ -80,15 +46,8 @@ def _require_fit(gen, space, space_type, fits=lambda b: True):
 class Translation:
     """Lattice translation by an integer vector.
 
-    In dimensions 1 and 2 ``power`` works on the coordinates directly;
-    higher dimensions use a comprehension.  Points reach it only after
-    ``check_point``, so the indexing is safe.  ``power_all`` moves a whole
-    list of points by ``v·k`` in one comprehension, indexing each point as
-    ``power`` does.  ``forward`` and ``backward`` map over the coordinates
-    in every dimension: ``GeneratedAction.moves`` moves an exact
-    ``Translation`` of dimension 1 or 2 by functions of its own, so walks
-    and ``verify_isometry`` do not call them, and ``apply_word`` does only
-    for a run of one letter.
+    ``power`` and ``power_all`` index the coordinates of points unchecked:
+    points reach them only after ``check_point``.
     """
 
     kind = "translation"
@@ -369,11 +328,10 @@ class GeneratedAction:
         """[(s, map of signed generator s)] in expansion order.
 
         A generator that is exactly a ``Translation`` of dimension 1 or 2
-        moves by functions over its vector's coordinates, so a move costs no
-        method call and no dimension test; every other generator moves by
-        its own ``forward`` and ``backward``.  The list is bound once per
-        action, on first use, and every call returns it: callers must not
-        mutate it."""
+        moves by functions over its vector's coordinates; every other
+        generator moves by its own ``forward`` and ``backward``.  The list
+        is bound on first use, since a certificate check builds actions it
+        never walks, and every call returns it: callers must not mutate it."""
         moves = self._moves
         if moves is None:
             moves = []
@@ -429,20 +387,22 @@ class SearchStats:
 
 
 class OrbitWalk:
-    """A breadth-first walk over the orbit of p, one word length at a time.
+    """A breadth-first walk over the orbit of p, one word length at a time,
+    trying the signed generators in the order ``+1, -1, +2, -2, ...``.
 
     Iterating yields each orbit point once, p first; ``length`` is the word
     length of the point last yielded, and ``word(i)`` the first word
     reaching the i-th point passed (p is the 0th), read off the parent
     links and kept for the words built after it; an i the walk has not
-    passed raises InvalidInputError.  No point is moved by the
-    letter that undoes its own last letter, so every word is reduced as
-    built.  The walk ends when the orbit closes, after the points at length
-    ``budget.max_word_length``, or when a point past ``budget.max_points``
-    appears; ``stats.points`` counts each point as it is yielded.  Each
-    iteration walks afresh; ``word``, ``len`` and ``skip`` act on the latest
-    walk.  Before the first, ``len`` and ``length`` are 0 and ``word``
-    raises InvalidInputError.
+    passed raises InvalidInputError.  No point is moved by the letter that
+    undoes its own last letter, so every word is reduced as built; this
+    relies on each backward map inverting its forward map, which
+    ``verify_isometry`` checks.  The walk ends when the orbit closes, after
+    the points at length ``budget.max_word_length``, or when a point past
+    ``budget.max_points`` appears; ``stats.points`` counts each point as it
+    is yielded.  Each iteration walks afresh; ``word``, ``len`` and ``skip``
+    act on the latest walk.  Before the first, ``len`` and ``length`` are 0
+    and ``word`` raises InvalidInputError.
 
     ``skip()`` leaves out the subtree of the point last yielded: every point
     whose first word runs through it.  The walk builds and yields none of
@@ -450,16 +410,10 @@ class OrbitWalk:
     length as in a walk without skips, and ``word()`` with no index is the
     word of the point last yielded.
 
-    The parent links, letters and word lengths come from a ``_Skeleton``.
-    When every generator is exactly a ``Translation``, ``LeftMultiplication``
-    or ``Shift``, every point has the kernel as its stabiliser, so the
-    skeleton is the same from every start point: the walk takes a shared one
-    and replays it, ``x_n = move[letter n](x_(parent n))``, with no seen set
-    and no rejected move; the moves are the action's ``moves()``, bound
-    once per action, on first use.  The skeleton grows one word length at
-    a time, as far as the walk asks.  A module cache keeps the 8 most
-    recently used shared skeletons.  Any other action walks a skeleton of
-    its own.
+    The parent links, letters and word lengths come from the action's
+    skeleton (``_skeleton``), grown as far as the walk asks; the walk
+    replays it from p, ``x_n = move[letter n](x_(parent n))``, with the
+    action's ``moves()``.
     """
 
     def __init__(self, action, p, budget=DEFAULT_BUDGET, stats=None):
@@ -607,7 +561,17 @@ _skeletons_lock = Lock()
 
 def _skeleton(action, p, budget):
     """The shared skeleton of the action's key, made from p if there is none;
-    a skeleton of its own for a walk whose action may not share one."""
+    a skeleton of its own for a walk whose action may not share one.
+
+    When every generator is exactly a ``Translation``, ``LeftMultiplication``
+    or ``Shift``, the group acts through a homomorphism onto a group acting
+    on itself, so every point's stabiliser is the kernel: ``g.p == h.p``
+    exactly when ``g.o == h.o``.  A walk then keeps or rejects the same moves
+    from every start point, so one skeleton, grown from the first start
+    point, serves them all.  Other generators (a ``VertexPermutation``, whose
+    stabilisers differ between points, a subclass, a duck-typed generator)
+    may not share one.
+    """
     gens_key = action._skeleton_key
     if gens_key is None:  # () for an action that may not share a skeleton
         gens = action.generators
@@ -631,12 +595,8 @@ def _skeleton(action, p, budget):
 
 
 def orbit_stream(action, p, budget=DEFAULT_BUDGET, stats=None):
-    """Yield (point, word) over the orbit of p in deterministic BFS order.
-
-    The points are an ``OrbitWalk``'s, each with the first word reaching it,
-    built by following the walk's parent links.  The walk never steps back
-    to a point's parent, so every word is reduced.
-    """
+    """Yield (point, word) over the orbit of p in deterministic BFS order:
+    an ``OrbitWalk``'s points, each with the first word reaching it."""
     walk = OrbitWalk(action, p, budget, stats)
     for i, x in enumerate(walk):
         yield x, walk.word(i)
@@ -651,9 +611,7 @@ def find_escape(action, p, q_points, eps, budget=DEFAULT_BUDGET, stats=None):
 
     p is checked, as every walk's start is, but Q is used as given: a point
     of Q outside the space may raise any error (a 1-tuple on ℤ², IndexError).
-    The solver calls this once per level with a Q' built from checked
-    points, so checking here would repeat the check for every point of
-    every Q'.
+    The solver passes every level's Q', built from checked points.
     """
     check_positive(eps, "eps")
     space = action.space

@@ -2,11 +2,8 @@
 
 Subcommands map one-to-one onto library operations; instances are JSON files
 (see README for the schemas), payload goes to stdout, diagnostics to stderr.
-
-Exit codes: 0 success, 2 budget exhausted or out of memory (both "unknown":
-the work asked for did not fit), 3 invalid input, schema or usage, 4
-metric/isometry violation detected, 5 differential or certificate mismatch.  A subcommand reading --in exits with the code of its payload's
-"status" (``EXIT_FOR_STATUS``), in JSON and table mode alike.
+A subcommand exits with the code ``EXIT_FOR_STATUS`` gives its payload's
+"status"; ``main`` gives the exit code of a failure that prints no payload.
 """
 
 import argparse

@@ -106,9 +106,6 @@ def brute_force_separate(action, weighted, q_points, max_word_length, stats=None
     Ratios stay exact without a Fraction per image: with eps_p = en/ed,
     d/eps_p is the pair (d.num * ed, d.den * en), pairs are compared by
     cross-multiplying, and (1, 0) stands for INF.
-
-    P, Q and the weights are checked as ``separate_points`` checks them,
-    before the search starts.
     """
     check_int(max_word_length, "max_word_length", 0)
     weighted = list(weighted)

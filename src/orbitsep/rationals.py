@@ -6,13 +6,6 @@ The single non-finite value is ``INF``, used as the distance between a point
 set and the empty set (and as the ratio of an empty certificate).  ``INF`` is
 ``math.inf``, which compares exactly against any rational; it is never used in
 arithmetic.
-
-Code that only compares ratios (``evaluate_word``, the oracle's ``rate``)
-keeps each as an integer pair and compares pairs by cross-multiplying.
-
-``parse_rational`` decodes an integer literal (``"n"`` or ``"-n"``) to an
-``int`` and every other literal to a ``Fraction``; the two compare, hash and
-format alike, so which one a decoded value is changes no output.
 """
 
 import math
@@ -59,6 +52,8 @@ def parse_rational(value):
     An integer literal of ASCII digits decodes straight to an ``int``; every
     other string goes through the literal grammar and decodes to a
     ``Fraction``.  An int or Fraction argument decodes to a ``Fraction``.
+    The two compare, hash and format alike, so which one a decoded value is
+    changes no output.
     """
     if isinstance(value, str):  # before the other tests: most literals are ints
         digits = value[1:] if value[:1] == "-" else value

@@ -22,15 +22,9 @@ moved: each level records the word that moves P to the level below it.
   ``Q0 ⊆ Q``, so a level restarts at most ``|Q|`` times.
 
 Every certificate carries the per-point achieved distances and the trace,
-one level per point, and is re-checked exactly before being returned.
-
-Inputs are checked by the public functions, and the cores behind them
-(``_separate``, ``_evaluate_word``, ``_replay_trace``) take them as checked.
-The solvers and ``check_certificate`` check P and Q with ``check_weighted``
-and ``check_points``: each point in the space and each weight a positive
-rational, in input order, then the points distinct; InvalidInputError names
-the first fault.  ``evaluate_word`` and ``replay_trace`` make the same point
-and weight checks but require no distinctness.
+one level per point, and is re-checked exactly before being returned.  The
+public functions check their inputs; the cores behind them (``_separate``,
+``_evaluate_word``, ``_replay_trace``) take them as checked.
 """
 
 from bisect import bisect_left, bisect_right

@@ -1,23 +1,9 @@
-"""Exact-rational metric spaces.
+"""Exact-rational metric spaces, and the queries, nets and checks over them.
 
-Built-in spaces:
-
-* ``zd`` — integer lattice points of a fixed dimension under l1 or linf.
-* ``free`` — reduced words over ``rank`` letters under the word metric
-  ``d(u, v) = |u^-1 v|``.
-* ``discrete_shift`` — the integers under the 0/1 discrete metric.
-* ``finite_graph`` — vertices of a connected weighted graph under the
-  shortest-path metric (one row of distances per source vertex, computed on
-  first use).
-* ``scaled`` — any inner space with distances multiplied by a positive
-  rational constant.
-* ``discrete`` — any inner space re-equipped with the 0/1 discrete metric.
-
-Distances are ints or Fractions, never floats; the only non-finite value is
-the ``INF`` sentinel ``set_distance`` gives for an empty set.  Every
-operation here is a pure function of its arguments, and a space's only
-mutable state is a graph's cache of distance rows, whose entries never
-change once computed, so spaces are safe to share between threads.
+Distances are ints or Fractions, never floats.  Every operation here is a
+pure function of its arguments, and a space's only mutable state is a
+graph's cache of distance rows, whose entries never change once computed,
+so spaces are safe to share between threads.
 """
 
 from fractions import Fraction
@@ -67,12 +53,8 @@ MAX_DIM = 64
 
 class ZdSpace(MetricSpace):
     """Integer lattice of a fixed dimension, at most ``MAX_DIM``, under the
-    l1 or linf norm.
-
-    In dimensions 1 and 2 ``distance`` works on the coordinates directly
-    (subtract, flip a negative sign, then add or take the larger); higher
-    dimensions use a ``map`` chain.  Points reach it only after
-    ``check_point``, so the indexing is safe.
+    l1 or linf norm.  ``distance`` indexes the coordinates of points
+    unchecked: points reach it only after ``check_point``.
     """
 
     kind = "zd"
@@ -463,10 +445,10 @@ def set_distance(space, points):
 
     The kernel is chosen once per set.  On an exact ``ZdSpace`` of dimension
     2 each query takes the minimum in one loop over the coordinates, with
-    ``ZdSpace.distance``'s arithmetic inline for each y, so no method is
-    called per pair.  The points are indexed unchecked, so callers check
-    them first.  Other dimensions, a subclass, which may override
-    ``distance``, and every other space use ``space.distance``.
+    ``ZdSpace.distance``'s arithmetic inline and the points indexed
+    unchecked, so callers check them first.  Other dimensions, a subclass,
+    which may override ``distance``, and every other space use
+    ``space.distance``.
     """
     points = list(points)
     if type(space) is not ZdSpace or space.dim != 2:
@@ -523,10 +505,17 @@ def require_distinct(points, what="point set"):
 
 
 def _check_members(space, weighted, points=()):
-    """Raise InvalidInputError at the first point outside the space or weight
-    that is not a positive rational: each (p, eps) of ``weighted`` in order,
-    then each of ``points``.  Distinctness is not checked."""
-    for p, eps in weighted:
+    """Raise InvalidInputError at the first entry of ``weighted`` that is not
+    a (point, weight) pair, point outside the space or weight that is not a
+    positive rational: each (p, eps) of ``weighted`` in order, then each of
+    ``points``.  Distinctness is not checked."""
+    for entry in weighted:
+        try:
+            p, eps = entry
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"expected a (point, weight) pair, got {entry!r}"
+            ) from exc
         space.check_point(p)
         try:
             check_positive(eps, "weight")
@@ -574,10 +563,12 @@ EXHAUSTIVE_LIMIT = 64
 
 def _tuples_to_check(space, tuples, arity):
     """Every ``arity``-tuple of a finite space of at most ``EXHAUSTIVE_LIMIT``
-    points, else the given tuples; each point of the given ones is checked
-    with the space's ``check_point`` either way."""
+    points, else the given tuples; each given one must be a tuple or list of
+    ``arity`` points of the space either way."""
     tuples = list(tuples)
     for t in tuples:
+        if not isinstance(t, (tuple, list)) or len(t) != arity:
+            raise InvalidInputError(f"expected {arity} points, got {t!r}")
         for x in t:
             space.check_point(x)
     universe = space.universe()

@@ -1,6 +1,8 @@
 """Dead code in the package (imports a module never uses, definitions
 nothing calls, methods nothing reads), recursion, assertions and measured
-figures in the docs.  All are found from the source alone, with ``ast``."""
+figures in the docs, all found from the source alone with ``ast``; and
+README against the code: every export named, no private name, the exit
+codes, and its Python examples run."""
 
 import ast
 import pathlib
@@ -10,6 +12,7 @@ from collections import Counter
 import pytest
 
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "orbitsep"
+README = (PACKAGE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
 MODULES = {
     path.name: ast.parse(path.read_text(encoding="utf-8"))
     for path in sorted(PACKAGE_DIR.glob("*.py"))
@@ -160,7 +163,7 @@ _FIGURE = re.compile(
 
 def _documents():
     """README.md, then every docstring in the package, as (where, text)."""
-    yield "README.md", (PACKAGE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    yield "README.md", README
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
@@ -180,3 +183,53 @@ def test_docs_quote_no_measured_figure():
         if _FIGURE.search(line)
     ]
     assert found == []
+
+
+def _named_in_readme(name):
+    return re.search(rf"(?<!\w){re.escape(name)}(?!\w)", README) is not None
+
+
+def test_readme_names_every_export():
+    """README's API contract names each name ``orbitsep`` exports."""
+    exports = list(_imported_names(MODULES["__init__.py"]))
+    assert [name for name in exports if not _named_in_readme(name)] == []
+
+
+def _private_names():
+    """Every ``_``-prefixed identifier the package defines or reads, dunders
+    and the bare ``_`` aside."""
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            for field in ("name", "id", "attr", "arg"):
+                name = getattr(node, field, None)
+                if isinstance(name, str) and re.fullmatch(r"_[A-Za-z0-9]\w*", name):
+                    yield name
+
+
+def test_readme_names_no_private_identifier():
+    """README states the public contract: a private name it quotes would
+    tie it to an implementation the next change may rename or delete."""
+    assert sorted({name for name in _private_names() if _named_in_readme(name)}) == []
+
+
+def test_readme_exit_code_table_matches_the_cli():
+    """One row per payload status, as ``EXIT_FOR_STATUS`` maps it, then the
+    two exits that print no payload: 3 (invalid input) and 2 (out of
+    memory)."""
+    from orbitsep import cli
+
+    assert "\n## Exit codes\n" in README
+    section = README.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([^|]+?) \| (\d) \|", section, re.M)
+    statuses = [(s.strip("`"), int(code)) for s, code in rows if s.startswith("`")]
+    others = [int(code) for s, code in rows if not s.startswith("`")]
+    assert statuses == list(cli.EXIT_FOR_STATUS.items())
+    assert others == [cli.EXIT_INVALID, cli.EXIT_BUDGET]
+
+
+def test_readme_python_examples_run():
+    """Every ```python block of README runs, its asserts included."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

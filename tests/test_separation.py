@@ -706,6 +706,41 @@ def test_checker_refuses_what_the_solver_refuses(z1_action, P, Q, message):
     assert messages == [message] * 3
 
 
+_WEIGHTED_ENTRY_POINTS = {
+    "separate": lambda a, P, Q, cert: O.separate_points(a, P, Q),
+    "evaluate": lambda a, P, Q, cert: O.evaluate_word(a, P, Q, ()),
+    "replay": lambda a, P, Q, cert: O.replay_trace(a, P, Q, cert.trace),
+    "check": lambda a, P, Q, cert: O.check_certificate(a, P, Q, cert),
+    "oracle": lambda a, P, Q, cert: O.brute_force_separate(a, P, Q, 2),
+    "compact": lambda a, P, Q, cert: O.separate_compact(a, P, Q),
+    "fullexist": lambda a, P, Q, cert: O.full_existence_step(a, Q, P),
+}
+
+
+@pytest.mark.parametrize(
+    "P, message",
+    [
+        ([(0,)], "expected a (point, weight) pair, got (0,)"),
+        ([((0,), 1, 3)], "expected a (point, weight) pair, got ((0,), 1, 3)"),
+        ([((1,), 1), 5], "expected a (point, weight) pair, got 5"),
+        ([((1,), 1), (0,), ((2,), 0.5)], "expected a (point, weight) pair, got (0,)"),
+        ([((0.5,), 1), 5], "lattice coordinate must be an int, got 0.5"),
+    ],
+    ids=["one", "three", "int", "pair-before-weight", "point-before-pair"],
+)
+@pytest.mark.parametrize("entry_point", sorted(_WEIGHTED_ENTRY_POINTS))
+def test_entry_points_refuse_a_weighted_entry_that_is_not_a_pair(
+    z1_action, entry_point, P, message
+):
+    """Every entry point taking weighted points refuses an entry that does not
+    unpack to (point, weight) with InvalidInputError, in input order with the
+    other faults; it once leaked the unpacking's ValueError or TypeError."""
+    cert = O.separate_points(z1_action, [((0,), Fraction(1))], [(5,)])
+    with pytest.raises(InvalidInputError) as info:
+        _WEIGHTED_ENTRY_POINTS[entry_point](z1_action, P, [(5,)], cert)
+    assert str(info.value) == message
+
+
 def test_certificate_json_roundtrip(z1_action):
     P = Z_FALLBACK["P"]
     Q = Z_FALLBACK["Q"]

@@ -349,6 +349,34 @@ def test_validate_metric_sweeps_a_small_space_instead_of_the_sample():
     assert len(keys) == len(set(keys)) > 0
 
 
+@pytest.mark.parametrize(
+    "check, sample, shown",
+    [
+        ("metric", [((0,), (1,))], "3 points, got ((0,), (1,))"),
+        ("metric", [((0,),) * 4], "3 points, got ((0,), (0,), (0,), (0,))"),
+        ("metric", [5], "3 points, got 5"),
+        ("isometry", [((0,),)], "2 points, got ((0,),)"),
+        ("isometry", [(0,)], "2 points, got (0,)"),
+    ],
+    ids=["metric-pair", "metric-quadruple", "metric-int", "isometry-one", "isometry-point"],
+)
+def test_sampled_tuples_must_hold_one_point_per_place(check, sample, shown):
+    """validate_metric takes triples and verify_isometry pairs: a tuple of
+    another length, or no tuple at all, is refused with InvalidInputError (it
+    once leaked a ValueError or TypeError).  A list of points is a tuple."""
+    space = O.ZdSpace(1, "l1")
+    action = O.GeneratedAction(space, [O.Translation((1,))])
+    checks = {
+        "metric": lambda sample: O.validate_metric(space, sample),
+        "isometry": lambda sample: O.verify_isometry(action, sample),
+    }
+    with pytest.raises(InvalidInputError) as info:
+        checks[check](sample)
+    assert str(info.value) == f"expected {shown}"
+    assert checks["metric"]([[(0,), (1,), (3,)]]) == []
+    assert checks["isometry"]([[(0,), (3,)]]) == []
+
+
 class _Lopsided(O.ZdSpace):
     """ℤ with one added to d(x, y) unless x lies above y: d(x, x) = 1, and
     d(x, y) != d(y, x) whenever x != y."""
